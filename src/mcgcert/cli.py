@@ -130,13 +130,14 @@ def load_presentation(path: str) -> Presentation:
         raise InputError(f"{path}: {exc}") from None
 
 
-def load_coset_table(path: str) -> CosetTable:
+def load_coset_table(path: str, alphabet: Optional[Alphabet] = None) -> CosetTable:
+    """Read a coset table; with ``alphabet``, its letters are matched by name."""
     try:
         data = json.loads(_read_file(path))
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON: {exc}") from None
     try:
-        return CosetTable.from_json_dict(data)
+        return CosetTable.from_json_dict(data, alphabet)
     except ValueError as exc:
         raise InputError(f"{path}: {exc}") from None
 
@@ -310,8 +311,11 @@ def _cmd_fpg(args) -> int:
                 handle.write("\n")
         return 0
     if args.action == "rs":
-        table = load_coset_table(args.table)
-        data = reidemeister_schreier(p, table)
+        table = load_coset_table(args.table, p.alphabet)
+        try:
+            data = reidemeister_schreier(p, table)
+        except ValueError as exc:
+            raise InputError(f"{args.table}: {exc}") from None
         result = data.presentation
         if args.simplify is not None:
             result = tietze_simplify(result, budget=args.simplify)

@@ -51,7 +51,7 @@ from .quasi import (
     homogenize,
     independence_rank,
 )
-from .stallings import SubgroupGraph, from_coset_action, subgroup_graph
+from .stallings import SubgroupGraph, _orbit_table, from_coset_action, subgroup_graph
 from .words import Alphabet, FreeHom, Word, format_word
 
 
@@ -371,18 +371,6 @@ def _sphere_guard(n: int) -> Outcome:
     return _status(ok), witness
 
 
-def _check_guard_sphere_3(cfg: VerifyConfig, rng: random.Random) -> Outcome:
-    return _sphere_guard(3)
-
-
-def _check_guard_sphere_4(cfg: VerifyConfig, rng: random.Random) -> Outcome:
-    return _sphere_guard(4)
-
-
-def _check_guard_sphere_6(cfg: VerifyConfig, rng: random.Random) -> Outcome:
-    return _sphere_guard(6)
-
-
 def _check_guard_sl2z(cfg: VerifyConfig, rng: random.Random) -> Outcome:
     p = sl2z_presentation()
     ab = abelianization(p)
@@ -449,15 +437,18 @@ def _twist_chain_row(n: int) -> dict:
     }
 
 
-def _check_twist_chain(cfg: VerifyConfig, rng: random.Random) -> Outcome:
-    rows = [_twist_chain_row(n) for n in range(3, 9)]
-    ok = all(
+def _chains_ok(rows: List[dict]) -> bool:
+    return all(
         r["rank"] == r["n"]
         and r["index"] == r["n"] - 1
         and r["contains_c_squared"] == (r["n"] == 3)
         for r in rows
     )
-    return _status(ok), {"chains": rows}
+
+
+def _check_twist_chain(cfg: VerifyConfig, rng: random.Random) -> Outcome:
+    rows = [_twist_chain_row(n) for n in range(3, 9)]
+    return _status(_chains_ok(rows)), {"chains": rows}
 
 
 def _free_rank_pipeline(
@@ -618,18 +609,6 @@ def _subgroup_auto_check(n: int, k: int) -> Outcome:
     return _status(ok), witness
 
 
-def _check_subgroup_auto_n2k2(cfg: VerifyConfig, rng: random.Random) -> Outcome:
-    return _subgroup_auto_check(2, 2)
-
-
-def _check_subgroup_auto_n2k3(cfg: VerifyConfig, rng: random.Random) -> Outcome:
-    return _subgroup_auto_check(2, 3)
-
-
-def _check_subgroup_auto_n3k2(cfg: VerifyConfig, rng: random.Random) -> Outcome:
-    return _subgroup_auto_check(3, 2)
-
-
 def _check_half_twist_obstruction(cfg: VerifyConfig, rng: random.Random) -> Outcome:
     f2 = Alphabet(2)
     phi_images = [f2.parse("a"), f2.parse("ab")]
@@ -689,13 +668,7 @@ def _check_genus2_pipeline(cfg: VerifyConfig, rng: random.Random) -> Outcome:
     p6 = punctured_sphere_presentation(6)
     img = perm_image(p6, sphere_transposition_images(6), max_order=1000)
     rows = [_twist_chain_row(n) for n in range(3, 9)]
-    chains_ok = all(
-        r["rank"] == r["n"]
-        and r["index"] == r["n"] - 1
-        and r["contains_c_squared"] == (r["n"] == 3)
-        for r in rows
-    )
-    ok = img.is_homomorphism and img.order == 720 and chains_ok
+    ok = img.is_homomorphism and img.order == 720 and _chains_ok(rows)
     witness = {
         "six_puncture_quotient_order": img.order,
         "index_arithmetic": "720 = 6!; preimages under surjections keep the index",
@@ -855,20 +828,10 @@ def _check_random_schreier(cfg: VerifyConfig, rng: random.Random) -> Outcome:
             perm = list(range(degree))
             rng.shuffle(perm)
             action[letter] = perm
-        reachable = {0}
-        frontier = [0]
-        while frontier:
-            v = frontier.pop()
-            for letter in range(1, rank + 1):
-                w = action[letter][v]
-                if w not in reachable:
-                    reachable.add(w)
-                    frontier.append(w)
-        order = sorted(reachable)
-        renumber = {v: i for i, v in enumerate(order)}
+        # restrict to the orbit of 0, renumbered: one column per letter
+        _, rows = _orbit_table(0, lambda v, s: action[s + 1][v], rank)
         restricted = {
-            letter: [renumber[action[letter][v]] for v in order]
-            for letter in range(1, rank + 1)
+            letter: [row[letter - 1] for row in rows] for letter in range(1, rank + 1)
         }
         graph = from_coset_action(alphabet, restricted)
         index = graph.invariants().index
@@ -981,19 +944,19 @@ _REGISTRY: Dict[str, Tuple[str, str, _CheckFn]] = {
         "The 3-puncture half-twist presentation passes its consistency guards.",
         "the transposition assignment is a homomorphism with image of order "
         "3! = 6, and H1 is cyclic of order gcd(4, 6) = 2",
-        _check_guard_sphere_3,
+        lambda cfg, rng: _sphere_guard(3),
     ),
     "guard-sphere-4": (
         "The 4-puncture half-twist presentation passes its consistency guards.",
         "the transposition assignment is a homomorphism with image of order "
         "4! = 24, and H1 is cyclic of order gcd(6, 12) = 6",
-        _check_guard_sphere_4,
+        lambda cfg, rng: _sphere_guard(4),
     ),
     "guard-sphere-6": (
         "The 6-puncture half-twist presentation passes its consistency guards.",
         "the transposition assignment is a homomorphism with image of order "
         "6! = 720, and H1 is cyclic of order gcd(10, 30) = 10",
-        _check_guard_sphere_6,
+        lambda cfg, rng: _sphere_guard(6),
     ),
     "guard-sl2z": (
         "The SL(2,Z) presentation passes its consistency guard.",
@@ -1047,21 +1010,21 @@ _REGISTRY: Dict[str, Tuple[str, str, _CheckFn]] = {
         "subgroup (automorphism via the Hopf property); the square root of "
         "a^2 is unique, forcing any ambient extension to be the identity, "
         "yet the self-map is not the identity",
-        _check_subgroup_auto_n2k2,
+        lambda cfg, rng: _subgroup_auto_check(2, 2),
     ),
     "subgroup-auto-n2k3": (
         "The basis self-map of the index-3 subgroup of F2 extends to no "
         "ambient endomorphism.",
         "the analogous subgroup of index 3 has rank 4 = 3(2-1)+1 and the "
         "same three sub-certificates hold with cube roots",
-        _check_subgroup_auto_n2k3,
+        lambda cfg, rng: _subgroup_auto_check(2, 3),
     ),
     "subgroup-auto-n3k2": (
         "The basis self-map of the index-2 subgroup of F3 extends to no "
         "ambient endomorphism.",
         "the analogous subgroup of the rank-3 free group has rank 5 = "
         "2(3-1)+1 and the same three sub-certificates hold",
-        _check_subgroup_auto_n3k2,
+        lambda cfg, rng: _subgroup_auto_check(3, 2),
     ),
     "half-twist-obstruction": (
         "The pure-subgroup automorphism a -> a, b -> ab extends to no "

@@ -16,9 +16,12 @@ tuple of relator words.  On top of that this module provides
 - permutation images with exact closure orders, and
 - step-by-step certificates that two words are equal modulo the relators.
 
-Coset tables use the same breadth-first standardization as subgroup graphs
-(letters scanned in the order +1, -1, +2, -2, ...), so tables produced by
-different routes compare equal whenever they describe the same action.
+Every table here is numbered by :func:`mcgcert.stallings._orbit_table`, the
+breadth-first orbit routine that also numbers subgroup graphs (letters
+scanned in the order +1, -1, +2, -2, ...), so tables produced by different
+routes compare equal whenever they describe the same action.  Permutation
+assignments are checked by :func:`mcgcert.stallings._signed_action`, and
+Schreier generators come from :func:`mcgcert.stallings._spanning_tree`.
 """
 
 from __future__ import annotations
@@ -28,13 +31,23 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from mcgcert.stallings import (
+    ClosureBoundError,
+    _orbit_table,
+    _signed_action,
+    _spanning_tree,
+    _walk,
+)
 from mcgcert.words import (
     Alphabet,
     AlphabetMismatch,
     ParseError,
     Word,
+    _cyclic_bounds,
     _free_reduce,
     _invert,
+    _slot,
+    _slot_letter,
 )
 
 
@@ -56,10 +69,6 @@ class IncompleteTableError(RuntimeError):
     so its action can never close; for a free ambient group it is a proof of
     infinite index.
     """
-
-
-class ClosureBoundError(RuntimeError):
-    """Closure of a permutation group exceeded the requested bound."""
 
 
 # ---------------------------------------------------------------------------
@@ -415,42 +424,8 @@ def abelianization(p: Presentation) -> AbelianStructure:
     )
 
 
-def ab_class(structure: AbelianStructure, word: Word) -> AbelianElement:
-    """Convenience alias for :meth:`AbelianStructure.project`."""
-    return structure.project(word)
-
-
 # ---------------------------------------------------------------------------
 # coset tables
-
-
-def _slot(letter: int) -> int:
-    return 2 * (letter - 1) if letter > 0 else 2 * (-letter - 1) + 1
-
-
-def _slot_letter(slot: int) -> int:
-    base = slot // 2 + 1
-    return base if slot % 2 == 0 else -base
-
-
-def _standardize_rows(
-    rows: Sequence[Sequence[int]], nslots: int, start: int = 0
-) -> List[Tuple[int, ...]]:
-    """Renumber a complete transitive table by BFS in slot order."""
-    numbering = {start: 0}
-    order = [start]
-    queue = deque([start])
-    while queue:
-        c = queue.popleft()
-        for s in range(nslots):
-            t = rows[c][s]
-            if t not in numbering:
-                numbering[t] = len(order)
-                order.append(t)
-                queue.append(t)
-    if len(order) != len(rows):
-        raise ValueError("coset table is not transitive")
-    return [tuple(numbering[rows[c][s]] for s in range(nslots)) for c in order]
 
 
 @dataclass(frozen=True)
@@ -486,16 +461,15 @@ class CosetTable:
     def trace(self, coset: int, word: Word) -> int:
         if word.alphabet.rank != self.alphabet.rank:
             raise AlphabetMismatch("word over a different ambient rank")
-        c = coset
-        for letter in word.letters:
-            c = self.rows[c][_slot(letter)]
-        return c
+        return _walk(self.rows, coset, word.letters)[0]
 
     def standardize(self) -> "CosetTable":
-        return CosetTable(
-            self.alphabet,
-            _standardize_rows(self.rows, 2 * self.alphabet.rank),
+        points, rows = _orbit_table(
+            0, lambda c, s: self.rows[c][s], 2 * self.alphabet.rank
         )
+        if len(points) != self.index:
+            raise ValueError("coset table is not transitive")
+        return CosetTable(self.alphabet, rows)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CosetTable):
@@ -517,7 +491,12 @@ class CosetTable:
         return {"cosets": self.index, "action": action}
 
     @staticmethod
-    def from_json_dict(data: dict) -> "CosetTable":
+    def from_json_dict(data: dict, alphabet: Optional[Alphabet] = None) -> "CosetTable":
+        """Read the :meth:`to_json_dict` form.
+
+        With ``alphabet``, action keys are matched to its generator names;
+        without it, the sorted lowercase keys name generators 1, 2, ...
+        """
         if not isinstance(data, dict):
             raise ValueError("coset table JSON must be an object")
         k = data.get("cosets")
@@ -529,24 +508,28 @@ class CosetTable:
         names = sorted(name for name in action if name.islower())
         if not names or any(len(n) != 1 or not n.isalpha() for n in names):
             raise ValueError("action keys must be single letters")
-        alphabet = Alphabet(len(names), names=tuple(names))
-        rows = [[None] * (2 * len(names)) for _ in range(k)]
-        for i, name in enumerate(names, start=1):
-            targets = action[name]
-            if len(targets) != k or sorted(targets) != list(range(1, k + 1)):
-                raise ValueError(f"'{name}' must be a permutation of 1..{k}")
-            inverse = [0] * k
-            for c, t in enumerate(targets):
-                rows[c][_slot(i)] = t - 1
-                rows[t - 1][_slot(-i)] = c
-                inverse[t - 1] = c + 1
-            upper = name.upper()
-            if upper in action and list(action[upper]) != inverse:
-                raise ValueError(f"'{upper}' is not the inverse of '{name}'")
-        extra = [x for x in action if not x.islower() and x.lower() not in names]
+        if alphabet is None:
+            alphabet = Alphabet(len(names), names=tuple(names))
+        elif sorted(alphabet.display_names or ()) != names:
+            raise ValueError(
+                f"table letters {' '.join(names)} do not match the generators "
+                f"{' '.join(alphabet.display_names or ())}"
+            )
+        letter = {}
+        for i, name in enumerate(alphabet.display_names, start=1):
+            letter[name], letter[name.upper()] = i, -i
+        extra = [x for x in action if x not in letter]
         if extra:
             raise ValueError(f"unknown action keys: {extra}")
-        return CosetTable(alphabet, [tuple(r) for r in rows])
+        for key, targets in action.items():
+            if not isinstance(targets, list) or len(targets) != k or not all(
+                isinstance(t, int) for t in targets
+            ):
+                raise ValueError(f"'{key}' must list {k} cosets")
+        _, slots = _signed_action(
+            alphabet, {letter[x]: [t - 1 for t in ts] for x, ts in action.items()}
+        )
+        return CosetTable(alphabet, zip(*slots))
 
 
 def coset_table_from_ab(structure: AbelianStructure) -> CosetTable:
@@ -558,31 +541,15 @@ def coset_table_from_ab(structure: AbelianStructure) -> CosetTable:
     """
     if structure.free_rank != 0:
         raise ValueError("abelianization has free part; kernel has infinite index")
-    gens = structure.alphabet.generators()
-    images = [structure.project(g) for g in gens]
-    zero = structure.zero()
-    nslots = 2 * structure.alphabet.rank
-    numbering = {zero: 0}
-    order = [zero]
-    rows: List[List[int]] = [[None] * nslots]
-    queue = deque([zero])
-    while queue:
-        x = queue.popleft()
-        c = numbering[x]
-        for s in range(nslots):
-            letter = _slot_letter(s)
-            y = x + images[letter - 1] if letter > 0 else x - images[-letter - 1]
-            t = numbering.get(y)
-            if t is None:
-                t = len(order)
-                numbering[y] = t
-                order.append(y)
-                rows.append([None] * nslots)
-                queue.append(y)
-            rows[c][s] = t
-    expected = structure.group_order()
-    assert len(order) == expected, "translation action missed elements"
-    return CosetTable(structure.alphabet, [tuple(r) for r in rows])
+    alphabet = structure.alphabet
+    moves = [
+        structure.project(alphabet.word((_slot_letter(s),)))
+        for s in range(2 * alphabet.rank)
+    ]
+    points, rows = _orbit_table(structure.zero(), lambda x, s: x + moves[s], len(moves))
+    if len(points) != structure.group_order():
+        raise RuntimeError("translation action missed elements of the quotient")
+    return CosetTable(alphabet, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -749,24 +716,21 @@ def todd_coxeter(
         define(c, _slot_letter(s))
         enqueue(c)
 
-    live = [c for c in range(len(rows)) if find(c) == c]
-    resolved = {c: i for i, c in enumerate(live)}
-    flat = [
-        [resolved[find(rows[c][s])] for s in range(nslots)] for c in live
-    ]
-    std = _standardize_rows(flat, nslots, start=resolved[find(0)])
+    # coset 0 survives every merge (the smaller coset always does), and every
+    # live coset is reached from it
+    _, std = _orbit_table(0, lambda c, s: find(rows[c][s]), nslots)
     table = CosetTable(alphabet, std)
     for w in p.relators:
         for c in range(table.index):
-            assert table.trace(c, w) == c, "relator does not fix a coset"
+            if table.trace(c, w) != c:
+                raise RuntimeError(f"table check failed: relator {w} moves coset {c}")
     for g in subgroup_gens:
-        if g.letters:
-            assert table.trace(0, g) == 0, "subgroup generator moves coset 0"
-    for c in range(table.index):
-        for s in range(nslots):
-            d = table.rows[c][s]
-            letter = _slot_letter(s)
-            assert table.rows[d][_slot(-letter)] == c, "inverse inconsistency"
+        if table.trace(0, g) != 0:
+            raise RuntimeError(f"table check failed: subgroup generator {g} moves coset 0")
+    for c, row in enumerate(table.rows):
+        for s, d in enumerate(row):
+            if table.rows[d][_slot(-_slot_letter(s))] != c:
+                raise RuntimeError(f"table check failed: inverse mismatch at coset {c}")
     return table
 
 
@@ -779,40 +743,24 @@ def _perm_compose(p: Tuple[int, ...], q: Tuple[int, ...]) -> Tuple[int, ...]:
     return tuple(q[x] for x in p)
 
 
-def _perm_inverse(p: Tuple[int, ...]) -> Tuple[int, ...]:
-    out = [0] * len(p)
-    for i, x in enumerate(p):
-        out[x] = i
-    return tuple(out)
+def _assignment(
+    p: Presentation, images: Dict[int, Sequence[int]]
+) -> Tuple[int, List[Tuple[int, ...]], Tuple[int, ...]]:
+    """Check a permutation assignment with :func:`_signed_action`.
 
-
-def _signed_images(
-    alphabet: Alphabet, images: Dict[int, Sequence[int]]
-) -> Tuple[int, Dict[int, Tuple[int, ...]]]:
-    """Validate an assignment of permutations to positive letters."""
-    if set(images) != set(range(1, alphabet.rank + 1)):
-        raise ValueError("assignment must cover letters 1..rank exactly")
-    degrees = {len(p) for p in images.values()}
-    if len(degrees) != 1:
-        raise ValueError("permutations of unequal degree")
-    degree = degrees.pop()
-    if degree == 0:
-        raise ValueError("permutations must have positive degree")
-    signed: Dict[int, Tuple[int, ...]] = {}
-    for letter, perm in images.items():
-        tup = tuple(perm)
-        if sorted(tup) != list(range(degree)):
-            raise ValueError(f"image of letter {letter} is not a permutation")
-        signed[letter] = tup
-        signed[-letter] = _perm_inverse(tup)
-    return degree, signed
-
-
-def _word_perm(letters: Tuple[int, ...], signed, degree: int) -> Tuple[int, ...]:
-    cur = tuple(range(degree))
-    for letter in letters:
-        cur = _perm_compose(cur, signed[letter])
-    return cur
+    Returns the degree, the permutation of each slot, and the indices of the
+    relators that do not map to the identity.
+    """
+    degree, slots = _signed_action(p.alphabet, images)
+    identity = tuple(range(degree))
+    violations = []
+    for i, w in enumerate(p.relators):
+        cur = identity
+        for letter in w.letters:
+            cur = _perm_compose(cur, slots[_slot(letter)])
+        if cur != identity:
+            violations.append(i)
+    return degree, slots, tuple(violations)
 
 
 @dataclass(frozen=True)
@@ -838,29 +786,11 @@ def perm_image(
     The order is the size of the subgroup the images generate, found by
     closure; exceeding ``max_order`` raises :class:`ClosureBoundError`.
     """
-    degree, signed = _signed_images(p.alphabet, images)
-    identity = tuple(range(degree))
-    violations = tuple(
-        i
-        for i, w in enumerate(p.relators)
-        if _word_perm(w.letters, signed, degree) != identity
+    degree, slots, violations = _assignment(p, images)
+    elements, _ = _orbit_table(
+        tuple(range(degree)), lambda g, s: _perm_compose(g, slots[s]), len(slots), max_order
     )
-    generators = [signed[i] for i in range(1, p.alphabet.rank + 1)]
-    generators += [signed[-i] for i in range(1, p.alphabet.rank + 1)]
-    seen = {identity}
-    frontier = deque([identity])
-    while frontier:
-        g = frontier.popleft()
-        for h in generators:
-            x = _perm_compose(g, h)
-            if x not in seen:
-                if len(seen) >= max_order:
-                    raise ClosureBoundError(
-                        f"image order exceeds the bound {max_order}"
-                    )
-                seen.add(x)
-                frontier.append(x)
-    return PermImage(degree=degree, order=len(seen), relator_violations=violations)
+    return PermImage(degree=degree, order=len(elements), relator_violations=violations)
 
 
 def regular_coset_table(
@@ -875,38 +805,13 @@ def regular_coset_table(
     The table is standardized, so it equals the Todd-Coxeter table of any
     generating set of the same kernel.
     """
-    degree, signed = _signed_images(p.alphabet, images)
-    identity = tuple(range(degree))
-    bad = [
-        i
-        for i, w in enumerate(p.relators)
-        if _word_perm(w.letters, signed, degree) != identity
-    ]
+    degree, slots, bad = _assignment(p, images)
     if bad:
-        raise ValueError(f"assignment violates relators at indices {bad}")
-    nslots = 2 * p.alphabet.rank
-    numbering = {identity: 0}
-    order = [identity]
-    rows: List[List[int]] = [[None] * nslots]
-    queue = deque([identity])
-    while queue:
-        g = queue.popleft()
-        c = numbering[g]
-        for s in range(nslots):
-            x = _perm_compose(g, signed[_slot_letter(s)])
-            t = numbering.get(x)
-            if t is None:
-                if len(order) >= max_order:
-                    raise ClosureBoundError(
-                        f"image order exceeds the bound {max_order}"
-                    )
-                t = len(order)
-                numbering[x] = t
-                order.append(x)
-                rows.append([None] * nslots)
-                queue.append(x)
-            rows[c][s] = t
-    return CosetTable(p.alphabet, [tuple(r) for r in rows])
+        raise ValueError(f"assignment violates relators at indices {list(bad)}")
+    _, rows = _orbit_table(
+        tuple(range(degree)), lambda g, s: _perm_compose(g, slots[s]), len(slots), max_order
+    )
+    return CosetTable(p.alphabet, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -930,26 +835,14 @@ def reidemeister_schreier(p: Presentation, table: CosetTable) -> SchreierData:
 
     Schreier generators come from non-tree edges of the breadth-first
     spanning tree of the table, one per (coset, positive letter) pair; the
-    relators are every ambient relator rewritten at every coset.
+    relators are every ambient relator rewritten at every coset.  A relator
+    that does not bring a coset back to itself shows that the table is not
+    an action of ``p``, and raises ValueError.
     """
     if table.alphabet.rank != p.alphabet.rank:
         raise AlphabetMismatch("table over a different ambient rank")
     k = table.index
-    nslots = 2 * p.alphabet.rank
-    reps: List[Optional[Tuple[int, ...]]] = [None] * k
-    reps[0] = ()
-    tree: set = set()
-    queue = deque([0])
-    while queue:
-        c = queue.popleft()
-        for s in range(nslots):
-            t = table.rows[c][s]
-            if reps[t] is None and t != 0:
-                letter = _slot_letter(s)
-                reps[t] = reps[c] + (letter,)
-                tree.add((c, letter))
-                tree.add((t, -letter))
-                queue.append(t)
+    reps, tree = _spanning_tree(table.rows)
     if any(rep is None for rep in reps):
         raise ValueError("coset table is not transitive")
 
@@ -962,27 +855,20 @@ def reidemeister_schreier(p: Presentation, table: CosetTable) -> SchreierData:
             d = table.rows[c][_slot(x)]
             gen_words.append(p.alphabet.word(reps[c] + (x,) + _invert(reps[d])))
             symbol[(c, x)] = len(gen_words)
+            symbol[(d, -x)] = -len(gen_words)
 
     sub_alphabet = Alphabet(len(gen_words)) if gen_words else Alphabet(1)
 
-    def rewrite(letters: Tuple[int, ...], start: int) -> Word:
-        out: List[int] = []
-        c = start
-        for letter in letters:
-            if letter > 0:
-                sym = symbol.get((c, letter))
-                if sym is not None:
-                    out.append(sym)
-                c = table.rows[c][_slot(letter)]
-            else:
-                d = table.rows[c][_slot(letter)]
-                sym = symbol.get((d, -letter))
-                if sym is not None:
-                    out.append(-sym)
-                c = d
-        return sub_alphabet.word(_free_reduce(out))
+    def rewrite(relator: Word, start: int) -> Word:
+        end, symbols = _walk(table.rows, start, relator.letters, symbol)
+        if end != start:
+            raise ValueError(
+                f"relator {relator} moves coset {start + 1} of the table, "
+                "so the table is not an action of the presentation"
+            )
+        return sub_alphabet.word(_free_reduce(symbols))
 
-    relators = [rewrite(w.letters, c) for w in p.relators for c in range(k)]
+    relators = [rewrite(w, c) for w in p.relators for c in range(k)]
     return SchreierData(
         presentation=Presentation(sub_alphabet, relators),
         generator_words=tuple(gen_words),
@@ -991,14 +877,6 @@ def reidemeister_schreier(p: Presentation, table: CosetTable) -> SchreierData:
 
 # ---------------------------------------------------------------------------
 # Tietze simplification
-
-
-def _cyclic_core(letters: Tuple[int, ...]) -> Tuple[int, ...]:
-    i, j = 0, len(letters)
-    while i + 1 < j and letters[i] == -letters[j - 1]:
-        i += 1
-        j -= 1
-    return letters[i:j]
 
 
 def _canonical_relator_key(letters: Tuple[int, ...]) -> Tuple[int, ...]:
@@ -1032,7 +910,8 @@ def tietze_simplify(p: Presentation, budget: int = 10**4) -> Presentation:
         nonlocal rels
         seen = {}
         for letters in rels:
-            core = _cyclic_core(_free_reduce(letters))
+            reduced = _free_reduce(letters)
+            core = reduced[slice(*_cyclic_bounds(reduced))]
             if not core:
                 continue
             key = _canonical_relator_key(core)

@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from mcgcert.words import Alphabet, AlphabetMismatch, FreeHom, Word, ball
+from mcgcert.words import Alphabet, AlphabetMismatch, FreeHom, Word, _invert, ball
 
 
 class BallBudgetError(RuntimeError):
@@ -114,7 +114,7 @@ class Quasimorphism:
         for coeff, pattern in self.terms:
             total += coeff * (
                 _count(pattern.letters, word.letters)
-                - _count(_inv(pattern.letters), word.letters)
+                - _count(_invert(pattern.letters), word.letters)
             )
         return total
 
@@ -127,20 +127,6 @@ class Quasimorphism:
         else:
             combined = hom
         return Quasimorphism(self.terms, precompose=combined)
-
-
-def _inv(letters: Tuple[int, ...]) -> Tuple[int, ...]:
-    return tuple(-x for x in reversed(letters))
-
-
-def qm_eval(qm: Quasimorphism, word: Word) -> Fraction:
-    """Convenience alias for calling the quasimorphism."""
-    return qm(word)
-
-
-def pullback(qm: Quasimorphism, hom: FreeHom) -> Quasimorphism:
-    """Convenience alias for :meth:`Quasimorphism.pullback`."""
-    return qm.pullback(hom)
 
 
 def defect_ball(
@@ -163,7 +149,7 @@ def defect_ball(
         )
     scale = lcm(*(coeff.denominator for coeff, _ in qm.terms))
     int_terms = [
-        (int(coeff * scale), pattern.letters, _inv(pattern.letters))
+        (int(coeff * scale), pattern.letters, _invert(pattern.letters))
         for coeff, pattern in qm.terms
     ]
 

@@ -8,6 +8,11 @@ are renumbered by breadth-first search from the base, scanning letters in the
 fixed order +1, -1, +2, -2, ..., so equal subgroups yield identical tables
 and graph equality is plain tuple equality.
 
+That numbering is :func:`_orbit_table`, the one breadth-first orbit routine;
+the coset tables and permutation closures of :mod:`mcgcert.fpgroup` use it
+too.  :func:`_spanning_tree` underlies free bases and Schreier generators,
+and :func:`_signed_action` checks every permutation action.
+
 The graph decides membership, index, and rank exactly, produces a free basis
 with rewriting of members over that basis, and supports intersections and
 containment checks via product graphs.
@@ -17,13 +22,141 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
-from mcgcert.words import Alphabet, AlphabetMismatch, Word, _free_reduce, _invert
+from mcgcert.words import (
+    Alphabet,
+    AlphabetMismatch,
+    Word,
+    _free_reduce,
+    _invert,
+    _slot,
+    _slot_letter,
+    format_word,
+)
 
 
 class InfiniteIndexError(ValueError):
     """A finite coset table was requested for an infinite-index subgroup."""
+
+
+class ClosureBoundError(RuntimeError):
+    """Closure of a permutation group exceeded the requested bound."""
+
+
+def _orbit_table(
+    start: Hashable,
+    step: Callable[[Hashable, int], Optional[Hashable]],
+    nslots: int,
+    limit: Optional[int] = None,
+) -> Tuple[List[Hashable], List[Tuple[Optional[int], ...]]]:
+    """Number the orbit of ``start`` breadth-first, scanning slots in order.
+
+    ``step(x, s)`` is the point reached from ``x`` along slot ``s``, or None
+    when there is no such edge.  Returns ``(points, rows)``: ``points[i]`` is
+    the point numbered ``i`` (``start`` is 0) and ``rows[i][s]`` the number
+    of the point reached from it along slot ``s``, or None.  Numbering more
+    than ``limit`` points raises :class:`ClosureBoundError`.
+    """
+    number = {start: 0}
+    points = [start]
+    rows = []
+    for x in points:  # the list grows while it is scanned: a FIFO queue
+        row = []
+        for s in range(nslots):
+            y = step(x, s)
+            if y is not None:
+                t = number.get(y)
+                if t is None:
+                    if limit is not None and len(points) >= limit:
+                        raise ClosureBoundError(f"image order exceeds the bound {limit}")
+                    t = number[y] = len(points)
+                    points.append(y)
+                y = t
+            row.append(y)
+        rows.append(tuple(row))
+    return points, rows
+
+
+def _spanning_tree(
+    rows: Sequence[Sequence[Optional[int]]],
+) -> Tuple[List[Optional[Tuple[int, ...]]], set]:
+    """Breadth-first spanning tree from vertex 0, scanning slots in order.
+
+    Returns ``(reps, tree)``: ``reps[v]`` is the letter tuple of the tree
+    path from 0 to ``v`` (None when ``v`` is unreachable) and ``tree`` holds
+    both directions ``(v, letter)`` of every tree edge.
+    """
+    reps: List[Optional[Tuple[int, ...]]] = [None] * len(rows)
+    reps[0] = ()
+    tree: set = set()
+    order = [0]
+    for v in order:
+        for s, t in enumerate(rows[v]):
+            if t is not None and reps[t] is None:
+                letter = _slot_letter(s)
+                reps[t] = reps[v] + (letter,)
+                tree.update(((v, letter), (t, -letter)))
+                order.append(t)
+    return reps, tree
+
+
+def _walk(
+    rows: Sequence[Sequence[Optional[int]]],
+    start: int,
+    letters: Sequence[int],
+    edge_sym: Optional[Dict[Tuple[int, int], int]] = None,
+) -> Tuple[Optional[int], List[int]]:
+    """Follow ``letters`` through a table from ``start``.
+
+    Returns the end vertex (None when the path leaves the table) and the
+    symbols that ``edge_sym`` gives to the directed edges crossed, in order.
+    """
+    symbols: List[int] = []
+    cur = start
+    for letter in letters:
+        if edge_sym is not None:
+            sym = edge_sym.get((cur, letter))
+            if sym is not None:
+                symbols.append(sym)
+        cur = rows[cur][_slot(letter)]
+        if cur is None:
+            break
+    return cur, symbols
+
+
+def _signed_action(
+    alphabet: Alphabet, action: Dict[int, Sequence[int]]
+) -> Tuple[int, List[Tuple[int, ...]]]:
+    """Check an action of the free group on the points 0..k-1.
+
+    ``action`` maps every letter 1..rank, and optionally inverse letters, to
+    target lists; each positive letter must permute the points and each
+    given negative letter must act as its inverse.  Returns ``k`` and the
+    permutation of each slot.
+    """
+    letters = set(range(1, alphabet.rank + 1))
+    if not letters <= set(action) <= letters | {-x for x in letters}:
+        raise ValueError("action must cover letters 1..rank exactly")
+    sizes = {len(action[x]) for x in letters}
+    if len(sizes) != 1:
+        raise ValueError("letters act on sets of unequal size")
+    k = sizes.pop()
+    if k == 0:
+        raise ValueError("action on an empty set")
+    name = lambda x: format_word(alphabet.word((x,)))
+    slots: List[Tuple[int, ...]] = []
+    for x in sorted(letters):
+        perm = tuple(action[x])
+        if sorted(perm) != list(range(k)):
+            raise ValueError(f"{name(x)} does not permute the {k} points")
+        inverse = [0] * k
+        for i, t in enumerate(perm):
+            inverse[t] = i
+        if -x in action and list(action[-x]) != inverse:
+            raise ValueError(f"{name(-x)} is not the inverse of {name(x)}")
+        slots += [perm, tuple(inverse)]
+    return k, slots
 
 
 @dataclass(frozen=True)
@@ -38,16 +171,6 @@ class GraphInvariants:
     edges: int
     rank: int
     index: Optional[int]
-
-
-def _slot(letter: int) -> int:
-    """Slot index of a signed letter: +1,-1,+2,-2,... map to 0,1,2,3,..."""
-    return 2 * (letter - 1) if letter > 0 else 2 * (-letter - 1) + 1
-
-
-def _slot_letter(slot: int) -> int:
-    base = slot // 2 + 1
-    return base if slot % 2 == 0 else -base
 
 
 class SubgroupGraph:
@@ -99,13 +222,7 @@ class SubgroupGraph:
     def member(self, word: Word) -> bool:
         """Whether ``word`` lies in the subgroup: trace it from the base."""
         self._check_word(word)
-        cur = 0
-        for letter in word.letters:
-            nxt = self.table[cur][_slot(letter)]
-            if nxt is None:
-                return False
-            cur = nxt
-        return cur == 0
+        return _walk(self.table, 0, word.letters)[0] == 0
 
     def invariants(self) -> GraphInvariants:
         filled = sum(1 for row in self.table for t in row if t is not None)
@@ -132,30 +249,15 @@ class SubgroupGraph:
         cached = self._cache.get("tree")
         if cached is not None:
             return cached
-        nslots = 2 * self.alphabet.rank
-        reps: List[Optional[Tuple[int, ...]]] = [None] * self.vertices
-        reps[0] = ()
-        tree: set = set()
-        queue = deque([0])
-        while queue:
-            v = queue.popleft()
-            for s in range(nslots):
-                t = self.table[v][s]
-                if t is not None and reps[t] is None and t != 0:
-                    letter = _slot_letter(s)
-                    reps[t] = reps[v] + (letter,)
-                    tree.add((v, letter, t))
-                    tree.add((t, -letter, v))
-                    queue.append(t)
+        reps, tree = _spanning_tree(self.table)
         basis: List[Word] = []
         edge_sym: Dict[Tuple[int, int], int] = {}
-        for v in range(self.vertices):
-            for s in range(nslots):
-                t = self.table[v][s]
+        for v, row in enumerate(self.table):
+            for s, t in enumerate(row):
                 if t is None:
                     continue
                 letter = _slot_letter(s)
-                if (v, letter, t) in tree or (v, letter) in edge_sym:
+                if (v, letter) in tree or (v, letter) in edge_sym:
                     continue
                 word = self.alphabet.word(reps[v] + (letter,) + _invert(reps[t]))
                 basis.append(word)
@@ -182,18 +284,8 @@ class SubgroupGraph:
         basis words for its letters recovers ``word`` exactly.
         """
         self._check_word(word)
-        _, _, edge_sym = self._tree_data()
-        cur = 0
-        symbols: List[int] = []
-        for letter in word.letters:
-            nxt = self.table[cur][_slot(letter)]
-            if nxt is None:
-                return None
-            sym = edge_sym.get((cur, letter))
-            if sym is not None:
-                symbols.append(sym)
-            cur = nxt
-        if cur != 0:
+        end, symbols = _walk(self.table, 0, word.letters, self._tree_data()[2])
+        if end != 0:
             return None
         return self.basis_alphabet().word(_free_reduce(symbols))
 
@@ -223,26 +315,16 @@ class SubgroupGraph:
         """Graph of the intersection: reachable part of the product graph."""
         if self.alphabet.rank != other.alphabet.rank:
             raise AlphabetMismatch("intersection requires equal ambient rank")
-        nslots = 2 * self.alphabet.rank
-        numbering = {(0, 0): 0}
-        adj: List[Dict[int, int]] = [{}]
-        queue = deque([(0, 0)])
-        while queue:
-            u1, u2 = pair = queue.popleft()
-            v = numbering[pair]
-            for s in range(nslots):
-                t1 = self.table[u1][s]
-                t2 = other.table[u2][s]
-                if t1 is None or t2 is None:
-                    continue
-                target = (t1, t2)
-                w = numbering.get(target)
-                if w is None:
-                    w = len(adj)
-                    numbering[target] = w
-                    adj.append({})
-                    queue.append(target)
-                adj[v][_slot_letter(s)] = w
+
+        def step(pair, s):
+            t1, t2 = self.table[pair[0]][s], other.table[pair[1]][s]
+            return None if t1 is None or t2 is None else (t1, t2)
+
+        _, rows = _orbit_table((0, 0), step, 2 * self.alphabet.rank)
+        adj = [
+            {_slot_letter(s): t for s, t in enumerate(row) if t is not None}
+            for row in rows
+        ]
         return _finish(self.alphabet, adj, 0)
 
     def contains(self, other: "SubgroupGraph") -> bool:
@@ -279,39 +361,15 @@ def from_coset_action(
 ) -> SubgroupGraph:
     """Graph of a point stabilizer of a transitive action on {0..k-1}.
 
-    ``action`` maps positive letters (optionally negative ones too) to target
-    lists; each positive letter must act as a permutation, and provided
-    negative letters must be the inverse permutations.  The stabilized point
-    is 0.
+    ``action`` maps letters 1..rank, and optionally their inverses, to
+    permutations of 0..k-1, as :func:`_signed_action` checks.  The
+    stabilized point is 0.
     """
-    pos = {l: list(action[l]) for l in action if l > 0}
-    if set(pos) != set(range(1, alphabet.rank + 1)):
-        raise ValueError("action must cover letters 1..rank")
-    sizes = {len(p) for p in pos.values()}
-    if len(sizes) != 1:
-        raise ValueError("action lists have unequal lengths")
-    k = sizes.pop()
-    if k == 0:
-        raise ValueError("action on an empty set")
-    for letter, perm in pos.items():
-        if sorted(perm) != list(range(k)):
-            raise ValueError(f"letter {letter} does not act as a permutation")
-        neg = action.get(-letter)
-        if neg is not None:
-            expected = [0] * k
-            for i, t in enumerate(perm):
-                expected[t] = i
-            if list(neg) != expected:
-                raise ValueError(f"letter {-letter} is not the inverse of {letter}")
-    adj: List[Dict[int, int]] = [dict() for _ in range(k)]
-    for letter, perm in pos.items():
-        for v, t in enumerate(perm):
-            adj[v][letter] = t
-            adj[t][-letter] = v
-    graph = _finish(alphabet, adj, 0)
-    if graph.vertices != k:
+    k, slots = _signed_action(alphabet, action)
+    points, rows = _orbit_table(0, lambda v, s: slots[s][v], len(slots))
+    if len(points) != k:
         raise ValueError("action is not transitive")
-    return graph
+    return SubgroupGraph(alphabet, rows)
 
 
 def _fold(
@@ -386,23 +444,6 @@ def _finish(alphabet: Alphabet, adj: List[Dict[int, int]], base: int) -> Subgrou
         del adj[w][-letter]
         if w != base and len(adj[w]) == 1:
             queue.append(w)
-    nslots = 2 * alphabet.rank
-    numbering = {base: 0}
-    order = [base]
-    queue = deque([base])
-    while queue:
-        v = queue.popleft()
-        for s in range(nslots):
-            t = adj[v].get(_slot_letter(s))
-            if t is not None and t not in numbering:
-                numbering[t] = len(order)
-                order.append(t)
-                queue.append(t)
-    table = [
-        tuple(
-            numbering[adj[v][_slot_letter(s)]] if _slot_letter(s) in adj[v] else None
-            for s in range(nslots)
-        )
-        for v in order
-    ]
+    letters = [_slot_letter(s) for s in range(2 * alphabet.rank)]
+    _, table = _orbit_table(base, lambda v, s: adj[v].get(letters[s]), len(letters))
     return SubgroupGraph(alphabet, table)

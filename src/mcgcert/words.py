@@ -68,6 +68,27 @@ def _invert(letters: Sequence[int]) -> tuple[int, ...]:
     return tuple(-x for x in reversed(letters))
 
 
+def _cyclic_bounds(letters: Sequence[int]) -> tuple[int, int]:
+    """(i, j) such that letters[i:j] is the cyclically reduced core of a
+    reduced word and letters[:i] the conjugator around it."""
+    i, j = 0, len(letters)
+    while j - i >= 2 and letters[i] == -letters[j - 1]:
+        i += 1
+        j -= 1
+    return i, j
+
+
+def _slot(letter: int) -> int:
+    """Slot index of a signed letter: +1, -1, +2, -2, ... map to 0, 1, 2, 3, ...
+    Table columns, breadth-first numberings and :func:`ball` use this order."""
+    return 2 * (letter - 1) if letter > 0 else 2 * (-letter - 1) + 1
+
+
+def _slot_letter(slot: int) -> int:
+    base = slot // 2 + 1
+    return base if slot % 2 == 0 else -base
+
+
 @dataclass(frozen=True)
 class Alphabet:
     """A free-group alphabet: a rank plus optional display names.
@@ -190,10 +211,7 @@ class Word:
         """Split as (conjugator, core) with self = conjugator * core * conjugator^-1
         and core cyclically reduced."""
         L = self.letters
-        i, j = 0, len(L)
-        while j - i >= 2 and L[i] == -L[j - 1]:
-            i += 1
-            j -= 1
+        i, j = _cyclic_bounds(L)
         return Word._make(self.alphabet, L[:i]), Word._make(self.alphabet, L[i:j])
 
     @property
@@ -218,7 +236,8 @@ class Word:
             self.alphabet,
             _concat_reduce(_concat_reduce(conj.letters, piece), _invert(conj.letters)),
         )
-        assert root ** k == self
+        if root ** k != self:
+            raise RuntimeError(f"root check failed: ({root})^{k} != {self}")
         return root
 
     def exponent_vector(self) -> tuple[int, ...]:
@@ -361,11 +380,11 @@ def parse_word(text: str, alphabet: Alphabet, line: int | None = None) -> Word:
 
 
 def ball(alphabet: Alphabet, radius: int) -> list[Word]:
-    """All reduced words of length <= radius, ordered by length then by the
-    deterministic letter order 1, -1, 2, -2, ..."""
+    """All reduced words of length <= radius, ordered by length then by slot
+    order 1, -1, 2, -2, ..."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    order = [s * i for i in range(1, alphabet.rank + 1) for s in (1, -1)]
+    order = [_slot_letter(s) for s in range(2 * alphabet.rank)]
     out: list[tuple[int, ...]] = [()]
     frontier: list[tuple[int, ...]] = [()]
     for _ in range(radius):

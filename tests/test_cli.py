@@ -6,6 +6,7 @@ import io
 import json
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -16,7 +17,7 @@ from mcgcert.constructions import (
     punctured_sphere_presentation,
     twist_chain,
 )
-from mcgcert.fpgroup import format_presentation
+from mcgcert.fpgroup import format_presentation, parse_presentation, todd_coxeter
 from mcgcert.stallings import subgroup_graph
 from mcgcert.words import Alphabet, format_word
 
@@ -252,6 +253,46 @@ def test_rs_json_unsimplified(pipeline):
     assert payload["rank"] == 49 and payload["gens"] is None
     assert len(payload["relators"]) == 120
     assert len(payload["generator_words"]) == 49
+
+
+def test_rs_json_matches_golden(pipeline):
+    code, out, _ = pipeline["rs_json"]
+    golden = Path(__file__).parent / "data" / "sphere4_rs.json"
+    assert (code, out) == (0, golden.read_text(encoding="utf-8"))
+
+
+S3_SWAPPED = "gens: b a\nrel: aa\nrel: bbb\nrel: abab\n"
+
+
+def test_rs_matches_table_letters_by_name(tmp_path):
+    # the table file lists a before b; the presentation declares b first
+    pres, sub, table = tmp_path / "s3.txt", tmp_path / "sub.txt", tmp_path / "t.json"
+    pres.write_text(S3_SWAPPED)
+    sub.write_text("a\n")
+    code, out, _ = cli("fpg", "coset", str(pres), "--sub", str(sub), "--json", str(table))
+    assert (code, out) == (0, "cosets: 3\n")
+    code, out, _ = cli("fpg", "rs", str(pres), "--table", str(table), "--json")
+    assert code == 0
+    words = json.loads(out)["generator_words"]
+    assert words == ["a", "bbb", "bab", "BaB"]
+    p = parse_presentation(S3_SWAPPED)
+    cosets_of_a = todd_coxeter(p, [p.alphabet.parse("a")])
+    assert all(cosets_of_a.trace(0, p.alphabet.parse(w)) == 0 for w in words)
+
+
+def test_rs_table_not_an_action_of_the_presentation(tmp_path):
+    pres, table = tmp_path / "s3.txt", tmp_path / "t.json"
+    pres.write_text(S3_SWAPPED)
+    # a fixes every coset and b is a 3-cycle, so (ab)^2 = b^2 moves coset 1
+    table.write_text(json.dumps({"cosets": 3, "action": {"a": [1, 2, 3], "b": [2, 3, 1]}}))
+    code, _, err = cli("fpg", "rs", str(pres), "--table", str(table))
+    assert code == 2 and "not an action of the presentation" in err
+    table.write_text(json.dumps({"cosets": 1, "action": {"a": [1], "c": [1]}}))
+    code, _, err = cli("fpg", "rs", str(pres), "--table", str(table))
+    assert code == 2 and "do not match the generators" in err
+    table.write_text(json.dumps({"cosets": 2, "action": {"a": [1, 2], "b": [1, 2]}}))
+    code, _, err = cli("fpg", "rs", str(pres), "--table", str(table))
+    assert code == 2 and "not transitive" in err
 
 
 def test_rs_json_simplified(pipeline):

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
@@ -299,6 +301,25 @@ def test_toolkit_metadata(report):
     assert tk["seed"] == 1729
     assert tk["tietze_budget"] == 10**4
     assert "counting_rule" in tk and "sl2z_presentation" in tk
+
+
+def test_report_bytes_match_golden(report):
+    # the bytes `mcgcert verify --json` writes under the default configuration
+    text = json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
+    golden = Path(__file__).parent / "data" / "verify_report.json"
+    assert text == golden.read_text(encoding="utf-8")
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips assert statements, so certificate checks must raise
+    package = Path(verify_all.__code__.co_filename).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 # --- individual check content (spot checks against the report) -------------------

@@ -17,7 +17,6 @@ from mcgcert.fpgroup import (
     Presentation,
     RewriteStep,
     abelianization,
-    ab_class,
     bareiss_det,
     coset_table_from_ab,
     format_presentation,
@@ -246,23 +245,17 @@ def test_todd_coxeter_whole_group_and_subgroups_of_free():
 
 @st.composite
 def transitive_action_st(draw):
+    # restrict two random permutations to the orbit of 0 and renumber it,
+    # so every draw is transitive and none is rejected
     k = draw(st.integers(min_value=1, max_value=6))
-    while True:
-        perms = {
-            1: list(draw(st.permutations(range(k)))),
-            2: list(draw(st.permutations(range(k)))),
-        }
-        seen = {0}
-        stack = [0]
-        while stack:
-            x = stack.pop()
-            for perm in perms.values():
-                for t in (perm[x], perm.index(x)):
-                    if t not in seen:
-                        seen.add(t)
-                        stack.append(t)
-        if len(seen) == k:
-            return perms
+    perms = [draw(st.permutations(range(k))) for _ in range(2)]
+    orbit = [0]
+    for x in orbit:
+        for p in perms:
+            if p[x] not in orbit:
+                orbit.append(p[x])
+    number = {x: i for i, x in enumerate(orbit)}
+    return {i + 1: [number[p[x]] for x in orbit] for i, p in enumerate(perms)}
 
 
 @settings(max_examples=40, deadline=None)
@@ -317,6 +310,8 @@ def test_coset_table_json_validation():
         CosetTable.from_json_dict({"cosets": 0, "action": {"a": []}})
     with pytest.raises(ValueError):
         CosetTable.from_json_dict({"action": {"a": [1]}})
+    with pytest.raises(ValueError):
+        CosetTable.from_json_dict({"cosets": 1, "action": {"a": 1}})
 
 
 def test_trace_and_action_dict():

@@ -206,23 +206,18 @@ def test_intersection_language_agreement(gens1, gens2):
 
 @st.composite
 def transitive_action_st(draw):
+    # restrict two random permutations to the orbit of 0 and renumber it,
+    # so every draw is transitive and none is rejected
     k = draw(st.integers(min_value=1, max_value=7))
-    while True:
-        perms = {
-            1: list(draw(st.permutations(range(k)))),
-            2: list(draw(st.permutations(range(k)))),
-        }
-        seen = {0}
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for p in perms.values():
-                for t in (p[v], p.index(v)):
-                    if t not in seen:
-                        seen.add(t)
-                        stack.append(t)
-        if len(seen) == k:
-            return k, perms
+    perms = [draw(st.permutations(range(k))) for _ in range(2)]
+    orbit = [0]
+    for v in orbit:
+        for p in perms:
+            if p[v] not in orbit:
+                orbit.append(p[v])
+    number = {v: i for i, v in enumerate(orbit)}
+    action = {i + 1: [number[p[v]] for v in orbit] for i, p in enumerate(perms)}
+    return len(orbit), action
 
 
 @given(transitive_action_st())
