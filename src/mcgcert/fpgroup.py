@@ -26,7 +26,7 @@ Schreier generators come from :func:`mcgcert.stallings._spanning_tree`.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from math import gcd
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -35,6 +35,7 @@ from mcgcert.stallings import (
     ClosureBoundError,
     _orbit_table,
     _signed_action,
+    _signed_columns,
     _spanning_tree,
     _walk,
 )
@@ -452,11 +453,7 @@ class CosetTable:
         return tuple(row[_slot(letter)] for row in self.rows)
 
     def action_dict(self) -> Dict[int, Tuple[int, ...]]:
-        out = {}
-        for letter in range(1, self.alphabet.rank + 1):
-            out[letter] = self.action(letter)
-            out[-letter] = self.action(-letter)
-        return out
+        return _signed_columns(self.rows, self.alphabet.rank)
 
     def trace(self, coset: int, word: Word) -> int:
         if word.alphabet.rank != self.alphabet.rank:
@@ -894,12 +891,18 @@ def _canonical_relator_key(letters: Tuple[int, ...]) -> Tuple[int, ...]:
 def tietze_simplify(p: Presentation, budget: int = 10**4) -> Presentation:
     """Deterministically shrink a presentation by Tietze transformations.
 
-    Moves: drop trivial/duplicate relators (up to rotation and inversion),
-    eliminate a generator that occurs exactly once in some relator
-    (choosing the candidate that minimizes total growth), and shorten a
-    relator using more than half of another.  ``budget`` bounds the number
-    of applied eliminations and shortenings.  A presentation that comes back
-    with relators is unsimplified evidence, never a refutation of anything.
+    After every move, trivial and duplicate relators (up to rotation and
+    inversion) are dropped.  Each move is the first that applies of:
+
+    1. eliminate a generator that occurs exactly once in some relator,
+       choosing the candidate that minimizes total growth; the occurrence
+       count of every generator is taken once per pass, not per candidate;
+    2. shorten a relator by replacing more than half of a cyclic variant of
+       another relator with the inverse of the rest.
+
+    ``budget`` bounds the number of applied eliminations and shortenings.
+    A presentation that comes back with relators is unsimplified evidence,
+    never a refutation of anything.
     """
     rank = p.alphabet.rank
     names = list(p.alphabet.display_names or ())
@@ -940,21 +943,15 @@ def tietze_simplify(p: Presentation, budget: int = 10**4) -> Presentation:
 
     def try_eliminate() -> bool:
         nonlocal rels, moves
+        total = Counter(abs(l) for letters in rels for l in letters)
         best = None
         for ri, letters in enumerate(rels):
-            counts: Dict[int, int] = {}
-            for l in letters:
-                counts[abs(l)] = counts.get(abs(l), 0) + 1
-            for g, cnt in counts.items():
+            for g, cnt in Counter(abs(l) for l in letters).items():
                 if cnt != 1:
                     continue
-                expr_len = len(letters) - 1
-                growth = -len(letters)
-                for rj, other in enumerate(rels):
-                    if rj == ri:
-                        continue
-                    occurrences = sum(1 for l in other if abs(l) == g)
-                    growth += occurrences * (expr_len - 1)
+                # g occurs once in this relator; each other occurrence
+                # becomes len(letters) - 1 letters
+                growth = -len(letters) + (total[g] - 1) * (len(letters) - 2)
                 cand = (growth, g, ri)
                 if best is None or cand < best:
                     best = cand
@@ -978,33 +975,28 @@ def tietze_simplify(p: Presentation, budget: int = 10**4) -> Presentation:
         return True
 
     def try_shorten() -> bool:
-        nonlocal rels, moves
+        nonlocal moves
+        # the distinct rotations of each relator and of its inverse, in order
+        variants = [
+            list(
+                dict.fromkeys(
+                    b[t:] + b[:t] for b in (s, _invert(s)) for t in range(len(b))
+                )
+            )
+            for s in rels
+        ]
         for i, u in enumerate(rels):
+            doubled = u + u
             for j, s in enumerate(rels):
                 if i == j or len(s) > len(u) or len(s) < 2:
                     continue
-                variants = []
-                seen_vars = set()
-                for base in (s, _invert(s)):
-                    for t in range(len(base)):
-                        rot = base[t:] + base[:t]
-                        if rot not in seen_vars:
-                            seen_vars.add(rot)
-                            variants.append(rot)
-                doubled = u + u
-                for var in variants:
-                    L = len(var)
-                    for wlen in range(L, L // 2, -1):
-                        if wlen > len(u):
-                            continue
+                for var in variants[j]:
+                    for wlen in range(len(var), len(var) // 2, -1):
                         w = var[:wlen]
-                        replacement = _invert(var[wlen:])
                         for pos in range(len(u)):
                             if doubled[pos : pos + wlen] == w:
-                                rotated = doubled[pos : pos + len(u)]
-                                new = _free_reduce(
-                                    replacement + rotated[wlen:]
-                                )
+                                rest = doubled[pos + wlen : pos + len(u)]
+                                new = _free_reduce(_invert(var[wlen:]) + rest)
                                 if len(new) < len(u):
                                     rels[i] = new
                                     moves += 1
@@ -1012,14 +1004,8 @@ def tietze_simplify(p: Presentation, budget: int = 10**4) -> Presentation:
         return False
 
     normalize()
-    while moves < budget:
-        if try_shorten():
-            normalize()
-            continue
-        if try_eliminate():
-            normalize()
-            continue
-        break
+    while moves < budget and (try_eliminate() or try_shorten()):
+        normalize()
     alphabet = Alphabet(max(rank, 1), names=tuple(names) if names and rank else None)
     if rank == 0:
         # everything was eliminated: the trivial group presented on one

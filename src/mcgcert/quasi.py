@@ -19,7 +19,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from mcgcert.words import Alphabet, AlphabetMismatch, FreeHom, Word, _invert, ball
 

@@ -125,6 +125,15 @@ def _walk(
     return cur, symbols
 
 
+def _signed_columns(
+    rows: Sequence[Sequence[Optional[int]]], rank: int
+) -> Dict[int, Tuple[Optional[int], ...]]:
+    """The column of each signed letter of a table, keyed +1, -1, +2, -2, ..."""
+    return {
+        _slot_letter(s): tuple(row[s] for row in rows) for s in range(2 * rank)
+    }
+
+
 def _signed_action(
     alphabet: Alphabet, action: Dict[int, Sequence[int]]
 ) -> Tuple[int, List[Tuple[int, ...]]]:
@@ -303,11 +312,7 @@ class SubgroupGraph:
             raise InfiniteIndexError(
                 "subgroup has infinite index; no finite coset table exists"
             )
-        action: Dict[int, Tuple[int, ...]] = {}
-        for letter in range(1, self.alphabet.rank + 1):
-            action[letter] = tuple(row[_slot(letter)] for row in self.table)
-            action[-letter] = tuple(row[_slot(-letter)] for row in self.table)
-        return action
+        return _signed_columns(self.table, self.alphabet.rank)
 
     # -- lattice operations ------------------------------------------------
 

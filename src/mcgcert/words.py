@@ -9,7 +9,8 @@ only when parsing or printing; the algebra itself keys on rank alone.
 Letter syntax (shared by every front end): lowercase letters are
 generators, the matching uppercase letter is the inverse, ``^n`` attaches
 an integer exponent to a letter or a parenthesized subword, whitespace is
-ignored, and ``1`` (or the empty string) denotes the identity.  Printing is
+ignored, and ``1`` (or the empty string) denotes the identity.  A word may
+expand to at most :data:`MAX_WORD_LETTERS` letters.  Printing is
 canonical: no exponents, no parentheses, identity printed as ``1``, so
 ``str(parse(s))`` is a fixed point of parse/print.
 """
@@ -17,9 +18,13 @@ canonical: no exponents, no parentheses, identity printed as ``1``, so
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 DEFAULT_NAMES = "abcdefghijklmnopqrstuvwxyz"
+
+# Longest word that letter syntax may expand to: ``^n`` repeats a subword,
+# so a few bytes of text could otherwise ask for gigabytes.
+MAX_WORD_LETTERS = 10**6
 
 
 class AlphabetMismatch(ValueError):
@@ -333,7 +338,8 @@ def parse_word(text: str, alphabet: Alphabet, line: int | None = None) -> Word:
             err("malformed exponent", start)
         return int(text[start:pos])
 
-    def parse_seq(depth: int) -> list[int]:
+    def parse_seq(depth: int, prefix: int) -> list[int]:
+        """Parse up to an unmatched ')'; ``prefix`` letters precede it."""
         nonlocal pos
         out: list[int] = []
         while True:
@@ -346,13 +352,13 @@ def parse_word(text: str, alphabet: Alphabet, line: int | None = None) -> Word:
                     err("unbalanced ')'", pos)
                 return out
             ch = text[pos]
+            term_at = pos
             base: list[int]
             if ch == "(":
-                open_at = pos
                 pos += 1
-                base = parse_seq(depth + 1)
+                base = parse_seq(depth + 1, prefix + len(out))
                 if pos >= n or text[pos] != ")":
-                    err("missing ')'", open_at)
+                    err("missing ')'", term_at)
                 pos += 1
             elif ch == "1":
                 pos += 1
@@ -365,6 +371,7 @@ def parse_word(text: str, alphabet: Alphabet, line: int | None = None) -> Word:
                 pos += 1
             while pos < n and text[pos].isspace():
                 pos += 1
+            e = 1
             if pos < n and text[pos] == "^":
                 pos += 1
                 while pos < n and text[pos].isspace():
@@ -373,10 +380,11 @@ def parse_word(text: str, alphabet: Alphabet, line: int | None = None) -> Word:
                 if e < 0:
                     base = [-x for x in reversed(base)]
                     e = -e
-                base = base * e
-            out.extend(base)
+            if prefix + len(out) + len(base) * e > MAX_WORD_LETTERS:
+                err(f"word expands to more than {MAX_WORD_LETTERS} letters", term_at)
+            out.extend(base * e)
 
-    return alphabet.word(parse_seq(0))
+    return alphabet.word(parse_seq(0, 0))
 
 
 def ball(alphabet: Alphabet, radius: int) -> list[Word]:

@@ -126,6 +126,12 @@ def test_bad_word_argument(workdir):
     assert code == 2 and "unknown generator" in err
 
 
+def test_word_argument_expanding_too_far(workdir):
+    gens = str(workdir / "f4.txt")
+    code, _, err = cli("stallings", "member", "--gens", gens, "--word", "(c^1000)^1001")
+    assert code == 2 and "expands to more than" in err
+
+
 # --- stallings ------------------------------------------------------------------
 
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from mcgcert.words import (
     Alphabet,
     AlphabetMismatch,
+    MAX_WORD_LETTERS,
     FreeHom,
     ParseError,
     Word,
@@ -257,6 +258,13 @@ def test_parse_errors():
     except ParseError as e:
         err = e
     assert err is not None and err.line == 7 and err.column is not None
+
+
+def test_parse_caps_expanded_length():
+    assert len(F2.parse("a^1000000").letters) == MAX_WORD_LETTERS
+    for text in ("a^1000001", "(a^1000)^1001", "b(a^1000)^1000"):
+        with pytest.raises(ParseError, match="expands to more than"):
+            F2.parse(text)
 
 
 def test_print_canonical_roundtrip():
