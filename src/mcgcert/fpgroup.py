@@ -6,7 +6,10 @@ tuple of relator words.  On top of that this module provides
 - integer matrix tools: a fraction-free determinant and a Smith normal form
   with verified unimodular transforms,
 - abelianization as a computed invariant: torsion moduli, free rank, and
-  projection of words to the abelian quotient,
+  projection of words to the abelian quotient.  It works in two phases:
+  sparse elimination of generators that occur with a unit exponent sum in
+  some relator, then the dense Smith normal form of what remains (after
+  Havas, Holt and Rees, "Recognizing badly presented Z-modules", 1993),
 - Todd-Coxeter coset enumeration with explicit budget and incompleteness
   errors, producing standardized coset tables,
 - coset tables derived from finite abelian quotients and from permutation
@@ -26,6 +29,7 @@ Schreier generators come from :func:`mcgcert.stallings._spanning_tree`.
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter, deque
 from dataclasses import dataclass
 from math import gcd
@@ -351,7 +355,13 @@ class AbelianElement:
 
 @dataclass(frozen=True)
 class AbelianStructure:
-    """The abelianization of a presented group, with its projection map."""
+    """The abelianization of a presented group, with its projection map.
+
+    ``_transform`` has one row per generator left after the unit-pivot phase
+    of :func:`abelianization` and one column per generator of ``alphabet``;
+    ``_free_rows`` and ``_torsion_rows`` pick out the rows that give the
+    free and the torsion coordinates.
+    """
 
     alphabet: Alphabet
     moduli: Tuple[int, ...]
@@ -364,8 +374,11 @@ class AbelianStructure:
         """Image of a word in the abelian quotient."""
         if word.alphabet.rank != self.alphabet.rank:
             raise AlphabetMismatch("word over a different ambient rank")
-        e = word.exponent_vector()
-        y = [sum(row[j] * e[j] for j in range(len(e))) for row in self._transform]
+        return self._image(_exponent_sums(word.letters))
+
+    def _image(self, sums: Dict[int, int]) -> AbelianElement:
+        """Image of the word with these exponent sums (see _exponent_sums)."""
+        y = [sum(row[g] * e for g, e in sums.items()) for row in self._transform]
         return AbelianElement(
             tuple(y[i] for i in self._free_rows),
             tuple(y[i] % d for i, d in zip(self._torsion_rows, self.moduli)),
@@ -395,34 +408,131 @@ class AbelianStructure:
         return " x ".join(parts) if parts else "trivial"
 
 
+def _exponent_sums(letters: Tuple[int, ...]) -> Dict[int, int]:
+    """Nonzero exponent sums of a word, keyed by zero-based generator."""
+    sums: Counter = Counter()
+    for x in letters:
+        if x > 0:
+            sums[x - 1] += 1
+        else:
+            sums[-x - 1] -= 1
+    return {g: e for g, e in sums.items() if e}
+
+
+def _eliminate_unit_pivots(
+    cols: List[Dict[int, int]], rank: int
+) -> List[Tuple[int, int, Dict[int, int]]]:
+    """Phase 1 of :func:`abelianization`: sparse column elimination.
+
+    ``cols`` are relation columns ``{generator: coefficient}``, changed in
+    place.  While some column has a coefficient +-1, the shortest such column
+    (a heap keyed on current length) eliminates its unit generator with the
+    fewest occurrences: that generator equals ``-sign`` times the rest of the
+    column, and is substituted out of every other column it occurs in.  The
+    pivot column is then emptied.  Returns the steps ``(generator, sign,
+    pivot column)`` in the order they were taken.
+    """
+    occurs: List[set] = [set() for _ in range(rank)]
+    for j, col in enumerate(cols):
+        for g in col:
+            occurs[g].add(j)
+    heap = [(len(col), j) for j, col in enumerate(cols) if col]
+    heapq.heapify(heap)
+    steps: List[Tuple[int, int, Dict[int, int]]] = []
+    while heap:
+        size, j = heapq.heappop(heap)
+        pivot = cols[j]
+        if size != len(pivot):
+            continue  # stale: the column changed and was pushed again
+        units = [g for g, e in pivot.items() if e in (1, -1)]
+        if not units:
+            continue  # pushed again if a later substitution changes it
+        g = min(units, key=lambda h: (len(occurs[h]), h))
+        sign = pivot[g]
+        cols[j] = {}
+        for h in pivot:
+            occurs[h].discard(j)
+        targets, occurs[g] = occurs[g], set()
+        for i in targets:
+            col = cols[i]
+            q = col.pop(g) * sign  # col -= q * pivot clears g
+            for h, e in pivot.items():
+                if h == g:
+                    continue
+                x = col.get(h, 0) - q * e
+                if x:
+                    if h not in col:
+                        occurs[h].add(i)
+                    col[h] = x
+                else:
+                    del col[h]
+                    occurs[h].discard(i)
+            if col:
+                heapq.heappush(heap, (len(col), i))
+        steps.append((g, sign, pivot))
+    return steps
+
+
 def abelianization(p: Presentation) -> AbelianStructure:
-    """Compute the abelianization from the Smith form of the relator matrix."""
-    r = p.alphabet.rank
-    n = len(p.relators)
-    # columns are relator exponent vectors
-    m = [[0] * n for _ in range(r)]
-    for j, w in enumerate(p.relators):
-        for i, e in enumerate(w.exponent_vector()):
-            m[i][j] = e
-    d, u, _v = smith_normal_form(m)
+    """Compute the abelianization of ``p`` and its projection map.
+
+    The relation matrix has one column of exponent sums per relator.  Phase
+    1 (:func:`_eliminate_unit_pivots`) eliminates, sparsely, every generator
+    it can with a unit coefficient.  Phase 2 runs the dense
+    :func:`smith_normal_form` on the remaining generators times the columns
+    that are still nonzero.  The images of the eliminated generators, by
+    back-substitution of the phase-1 steps in reverse, give the projection:
+    one row per remaining generator, ``U`` times those images.  Before
+    returning, every relator is mapped through the projection and must go
+    to zero; otherwise ``RuntimeError`` is raised.
+    """
+    rank = p.alphabet.rank
+    sums = [_exponent_sums(w.letters) for w in p.relators]
+    cols = [dict(e) for e in sums]
+    steps = _eliminate_unit_pivots(cols, rank)
+    eliminated = {g for g, _, _ in steps}
+    remaining = [g for g in range(rank) if g not in eliminated]
+    live = [col for col in cols if col]
+    d, u, _v = smith_normal_form([[col.get(g, 0) for col in live] for g in remaining])
+
+    images: List[Dict[int, int]] = [{} for _ in range(rank)]
+    for m, g in enumerate(remaining):
+        images[g] = {m: 1}
+    for g, sign, pivot in reversed(steps):
+        image: Counter = Counter()
+        for h, e in pivot.items():
+            if h != g:
+                for m, c in images[h].items():
+                    image[m] -= sign * e * c
+        images[g] = {m: c for m, c in image.items() if c}
+
     moduli: List[int] = []
     torsion_rows: List[int] = []
     free_rows: List[int] = []
-    for i in range(r):
-        di = d[i][i] if i < n else 0
+    for i in range(len(remaining)):
+        di = d[i][i] if i < len(live) else 0
         if di == 0:
             free_rows.append(i)
         elif di >= 2:
             torsion_rows.append(i)
             moduli.append(di)
-    return AbelianStructure(
+    structure = AbelianStructure(
         alphabet=p.alphabet,
         moduli=tuple(moduli),
         free_rank=len(free_rows),
-        _transform=tuple(tuple(row) for row in u),
+        _transform=tuple(
+            tuple(sum(row[m] * c for m, c in image.items()) for image in images)
+            for row in u
+        ),
         _torsion_rows=tuple(torsion_rows),
         _free_rows=tuple(free_rows),
     )
+    for j, e in enumerate(sums):
+        if not structure._image(e).is_zero:
+            raise RuntimeError(
+                f"relator {j + 1} does not vanish in the computed abelianization"
+            )
+    return structure
 
 
 # ---------------------------------------------------------------------------

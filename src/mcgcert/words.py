@@ -336,7 +336,11 @@ def parse_word(text: str, alphabet: Alphabet, line: int | None = None) -> Word:
             pos += 1
         if pos == digits:
             err("malformed exponent", start)
-        return int(text[start:pos])
+        # past MAX_WORD_LETTERS every nonempty base is refused, so a longer
+        # run of digits (which int() may refuse outright) counts as one past it
+        run = text[digits:pos].lstrip("0") or "0"
+        e = int(run) if len(run) <= len(str(MAX_WORD_LETTERS)) else MAX_WORD_LETTERS + 1
+        return -e if text[start] == "-" else e
 
     def parse_seq(depth: int, prefix: int) -> list[int]:
         """Parse up to an unmatched ')'; ``prefix`` letters precede it."""

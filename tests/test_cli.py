@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -209,6 +211,13 @@ def test_abelianize_json(workdir):
     code, out, _ = cli("fpg", "abelianize", str(workdir / "sphere4.txt"), "--json")
     assert code == 0
     assert json.loads(out) == {"description": "Z/6", "free_rank": 0, "moduli": [6]}
+
+
+def test_abelianize_exponent_longer_than_int_accepts(tmp_path):
+    f = tmp_path / "huge.txt"
+    f.write_text("gens: a\nrels: a^" + "9" * 5000 + "\n")
+    code, out, err = cli("fpg", "abelianize", str(f))
+    assert (code, out) == (2, "") and "expands to more than" in err
 
 
 def test_coset_regular_enumeration(tmp_path):
@@ -462,6 +471,21 @@ def test_verify_json_report_deterministic(tmp_path):
     report = json.loads(first.read_text())
     assert [c["id"] for c in report["checks"]] == ["guard-sphere-4", "h1-sphere-4"]
     assert all(c["status"] == "pass" for c in report["checks"])
+
+
+def test_verify_json_under_optimize_matches_golden(tmp_path):
+    # python -O strips assert statements; the report must not depend on them
+    root = Path(__file__).parents[1]
+    out = tmp_path / "report.json"
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run(
+        [sys.executable, "-O", "-m", "mcgcert.cli", "verify", "--json", str(out)],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert out.read_bytes() == (root / "tests" / "data" / "verify_report.json").read_bytes()
 
 
 def test_verify_strict_promotes_inconclusive():

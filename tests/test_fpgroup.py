@@ -494,18 +494,49 @@ def test_tietze_preserves_homomorphisms_to_s3(p, budget):
     assert s3_hom_count(tietze_simplify(p, budget=budget)) == s3_hom_count(p)
 
 
-def test_tietze_frees_pure_subgroup_of_sphere_5():
+@pytest.fixture(scope="module")
+def sphere5_pure():
+    """The unsimplified and the simplified presentation of the pure subgroup
+    of the 5-punctured sphere, simplified once for the module."""
     from mcgcert.constructions import punctured_sphere_presentation
 
     p5 = punctured_sphere_presentation(5)
     # A_ij = (w_{j-1} ... w_{i+1}) w_i^2 (w_{j-1} ... w_{i+1})^-1, 1 <= i < j <= 4
     pure = [p5.alphabet.parse(t) for t in ("aa", "baaB", "cbaaBC", "bb", "cbbC", "cc")]
     rs = reidemeister_schreier(p5, todd_coxeter(p5, pure)).presentation
+    return rs, tietze_simplify(rs)
+
+
+def test_tietze_frees_pure_subgroup_of_sphere_5(sphere5_pure):
+    rs, q = sphere5_pure
     assert (rs.alphabet.rank, len(rs.relators)) == (361, 960)
-    q = tietze_simplify(rs)
     # H1 = Z^5, so no presentation of the group has fewer than 5 generators
     assert q.alphabet.rank == 5
     assert abelianization(q).describe() == "Z^5"
+
+
+def test_abelianization_of_unsimplified_sphere_5_presentation(sphere5_pure):
+    rs, q = sphere5_pure
+    ab = abelianization(rs)
+    assert (ab.free_rank, ab.moduli) == (5, ())
+    simplified = abelianization(q)
+    assert (ab.free_rank, ab.moduli) == (simplified.free_rank, simplified.moduli)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_abelianization_of_sphere_kernels(n):
+    # the kernel of the map onto S_n sending w_i to (i, i+1) is the pure
+    # subgroup; its H1 is free of rank n(n-3)/2 (2881 generators at n = 6)
+    from mcgcert.constructions import (
+        punctured_sphere_presentation,
+        sphere_transposition_images,
+    )
+
+    p = punctured_sphere_presentation(n)
+    table = regular_coset_table(p, sphere_transposition_images(n))
+    rs = reidemeister_schreier(p, table).presentation
+    ab = abelianization(rs)
+    assert (ab.free_rank, ab.moduli) == (n * (n - 3) // 2, ())
 
 
 # --- rewriting certificates ------------------------------------------------------

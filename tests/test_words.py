@@ -267,6 +267,18 @@ def test_parse_caps_expanded_length():
             F2.parse(text)
 
 
+def test_parse_exponent_longer_than_int_accepts():
+    # int() refuses more than 4300 digits; the parser must not hand them over
+    huge = "9" * 5000
+    for text in ("a^" + huge, "(ab)^-" + huge, "b(a)^" + huge):
+        with pytest.raises(ParseError, match="expands to more than"):
+            F2.parse(text)
+    # an empty base expands to nothing, however large its exponent
+    assert F2.parse("1^" + huge) == F2.identity()
+    assert F2.parse("a()^-" + huge) == F2.parse("a")
+    assert F2.parse("a^" + "0" * 5000 + "3") == F2.parse("aaa")
+
+
 def test_print_canonical_roundtrip():
     for text in ["1", "a", "AB", "abAB", "a^3", "(ab)^2", "b A  a"]:
         w = F2.parse(text)
