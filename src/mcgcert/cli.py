@@ -162,6 +162,8 @@ def load_assignment(path: str, alphabet: Alphabet) -> dict:
         name = name.strip()
         if name not in names:
             raise InputError(f"{path}: unknown generator {name!r}")
+        if names.index(name) + 1 in images:
+            raise InputError(f"{path}: generator {name!r} is assigned twice")
         try:
             targets = [int(x) for x in rest.split()]
         except ValueError:
@@ -364,16 +366,26 @@ def _cmd_fpg(args) -> int:
     raise AssertionError(f"unhandled fpg action {args.action!r}")
 
 
+def _pattern_qm(text: str, alphabet: Alphabet) -> Quasimorphism:
+    """The counting quasimorphism of a ``--pattern`` argument."""
+    try:
+        return Quasimorphism([(1, parse_word_arg(text, alphabet))])
+    except ValueError as exc:
+        raise InputError(f"bad pattern {text!r}: {exc}") from None
+
+
 def _cmd_qm(args) -> int:
     if args.action == "eval":
         alphabet = _infer_alphabet([args.pattern, args.word])
-        qm = Quasimorphism([(1, parse_word_arg(args.pattern, alphabet))])
+        qm = _pattern_qm(args.pattern, alphabet)
         print(_fmt_fraction(qm(parse_word_arg(args.word, alphabet))))
         return 0
     if args.action == "defect":
-        alphabet = _infer_alphabet([args.pattern])
-        qm = Quasimorphism([(1, parse_word_arg(args.pattern, alphabet))])
-        value = defect_ball(qm, args.radius, pair_budget=args.pair_budget)
+        qm = _pattern_qm(args.pattern, _infer_alphabet([args.pattern]))
+        try:
+            value = defect_ball(qm, args.radius, pair_budget=args.pair_budget)
+        except ValueError as exc:
+            raise InputError(f"--radius {args.radius}: {exc}") from None
         print(_fmt_fraction(value))
         return 0
     if args.action == "rank":

@@ -25,6 +25,9 @@ scanned in the order +1, -1, +2, -2, ...), so tables produced by different
 routes compare equal whenever they describe the same action.  Permutation
 assignments are checked by :func:`mcgcert.stallings._signed_action`, and
 Schreier generators come from :func:`mcgcert.stallings._spanning_tree`.
+Todd-Coxeter coincidences are processed by
+:class:`mcgcert.stallings._Coincidences`, the union-find that also folds
+subgroup graphs: a coincidence is a Stallings fold.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from mcgcert.stallings import (
     ClosureBoundError,
+    _Coincidences,
     _orbit_table,
     _signed_action,
     _signed_columns,
@@ -570,14 +574,6 @@ class CosetTable:
             raise AlphabetMismatch("word over a different ambient rank")
         return _walk(self.rows, coset, word.letters)[0]
 
-    def standardize(self) -> "CosetTable":
-        points, rows = _orbit_table(
-            0, lambda c, s: self.rows[c][s], 2 * self.alphabet.rank
-        )
-        if len(points) != self.index:
-            raise ValueError("coset table is not transitive")
-        return CosetTable(self.alphabet, rows)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, CosetTable):
             return NotImplemented
@@ -608,7 +604,7 @@ class CosetTable:
             raise ValueError("coset table JSON must be an object")
         k = data.get("cosets")
         action = data.get("action")
-        if not isinstance(k, int) or k < 1:
+        if type(k) is not int or k < 1:  # JSON true/false are not counts
             raise ValueError("'cosets' must be a positive integer")
         if not isinstance(action, dict) or not action:
             raise ValueError("'action' must be a non-empty object")
@@ -630,7 +626,7 @@ class CosetTable:
             raise ValueError(f"unknown action keys: {extra}")
         for key, targets in action.items():
             if not isinstance(targets, list) or len(targets) != k or not all(
-                isinstance(t, int) for t in targets
+                type(t) is int for t in targets
             ):
                 raise ValueError(f"'{key}' must list {k} cosets")
         _, slots = _signed_action(
@@ -671,7 +667,7 @@ def todd_coxeter(
     """Enumerate cosets of the subgroup the given words generate.
 
     Relator scans fill gaps eagerly; coincidences are processed immediately
-    through a union-find with a pending queue.  ``budget`` bounds the total
+    by :class:`mcgcert.stallings._Coincidences`.  ``budget`` bounds the total
     number of cosets ever defined (merged-away cosets still count).  A
     generator appearing in no relator and no subgroup generator can never
     close, so that raises :class:`IncompleteTableError` up front; the same
@@ -682,104 +678,55 @@ def todd_coxeter(
     alphabet = p.alphabet
     r = alphabet.rank
     nslots = 2 * r
-    relators = [w.letters for w in p.relators if w.letters]
+    relators = [tuple(map(_slot, w.letters)) for w in p.relators if w.letters]
     subgens = []
     for g in subgroup_gens:
         if g.alphabet.rank != r:
             raise AlphabetMismatch("subgroup generator over a different ambient rank")
         if g.letters:
-            subgens.append(g.letters)
-    constrained = {abs(l) for rel in relators for l in rel}
-    touched = constrained | {abs(l) for g in subgens for l in g}
-    for i in range(1, r + 1):
+            subgens.append(tuple(map(_slot, g.letters)))
+    # slot // 2 numbers the generators from 0
+    names = alphabet.display_names or [str(i) for i in range(1, r + 1)]
+    constrained = {s // 2 for rel in relators for s in rel}
+    touched = constrained | {s // 2 for g in subgens for s in g}
+    for i in range(r):
         if i not in touched:
-            name = (alphabet.display_names or [str(i)] * r)[i - 1]
             raise IncompleteTableError(
-                f"generator '{name}' appears in no relator or subgroup generator; "
+                f"generator '{names[i]}' appears in no relator or subgroup generator; "
                 "the table cannot close (infinite index)"
             )
 
-    rows: List[Optional[List[Optional[int]]]] = [[None] * nslots]
-    parent = [0]
-    defined = 1
-    pending: deque = deque()
+    core = _Coincidences()
+    core.add()
+    rows, find = core.rows, core.find
     queue: deque = deque([0])
     in_queue = {0}
-
-    def find(c: int) -> int:
-        root = c
-        while parent[root] != root:
-            root = parent[root]
-        while parent[c] != root:
-            parent[c], c = root, parent[c]
-        return root
 
     def enqueue(c: int) -> None:
         if c not in in_queue:
             in_queue.add(c)
             queue.append(c)
 
-    def define(c: int, letter: int) -> int:
-        nonlocal defined
-        if defined >= budget:
-            raise EnumerationBudgetError(defined + 1, budget)
-        new = len(rows)
-        rows.append([None] * nslots)
-        parent.append(new)
-        defined += 1
-        rc = find(c)
-        rows[rc][_slot(letter)] = new
-        rows[new][_slot(-letter)] = rc
+    def define(c: int, slot: int) -> int:
+        if len(rows) >= budget:  # every row ever added counts, merged or not
+            raise EnumerationBudgetError(len(rows) + 1, budget)
+        new = core.add()
+        core.join(c, slot, new)
         enqueue(new)
         return new
 
-    def set_edge(c: int, letter: int, d: int) -> None:
-        rc, rd = find(c), find(d)
-        cur = rows[rc][_slot(letter)]
-        if cur is None:
-            rows[rc][_slot(letter)] = rd
-        elif find(cur) != rd:
-            pending.append((cur, rd))
-        cur = rows[rd][_slot(-letter)]
-        if cur is None:
-            rows[rd][_slot(-letter)] = rc
-        elif find(cur) != rc:
-            pending.append((cur, rc))
-
-    def merge_all() -> None:
-        while pending:
-            x, y = pending.popleft()
-            rx, ry = find(x), find(y)
-            if rx == ry:
-                continue
-            if rx > ry:
-                rx, ry = ry, rx
-            parent[ry] = rx
-            absorbed = rows[ry]
-            rows[ry] = None
-            target = rows[rx]
-            for s in range(nslots):
-                t = absorbed[s]
-                if t is None:
-                    continue
-                cur = target[s]
-                if cur is None:
-                    target[s] = t
-                elif find(cur) != find(t):
-                    pending.append((cur, t))
-            # the survivor gained edges, so its relator scans must be redone
-            enqueue(rx)
-
-    def scan_fill(start: int, letters: Tuple[int, ...]) -> None:
+    def scan_fill(start: int, slots: Tuple[int, ...]) -> None:
         c = find(start)
         first = c
-        for letter in letters[:-1]:
-            nxt = rows[c][_slot(letter)]
+        for slot in slots[:-1]:
+            nxt = rows[c].get(slot)
             if nxt is None:
-                nxt = define(c, letter)
+                nxt = define(c, slot)
             c = find(nxt)
-        set_edge(c, letters[-1], first)
-        merge_all()
+        core.join(c, slots[-1], first)
+        # each survivor gained edges, so its relator scans must be redone
+        for survivor in core.settle():
+            enqueue(survivor)
 
     for g in subgens:
         scan_fill(0, g)
@@ -788,39 +735,35 @@ def todd_coxeter(
         while queue:
             c = queue.popleft()
             in_queue.discard(c)
-            if find(c) != c:
+            if rows[c] is None:
                 continue
             for rel in relators:
                 scan_fill(c, rel)
-                if find(c) != c:
+                if rows[c] is None:
                     break  # merged away; the surviving coset was re-enqueued
         # table closed under relators; fill the first hole if one remains
         hole = None
         blocked = None
-        for c in range(len(rows)):
-            if find(c) != c:
+        for c, row in enumerate(rows):
+            if row is None:
                 continue
-            row = rows[c]
             for s in range(nslots):
-                if row[s] is None:
-                    if abs(_slot_letter(s)) in constrained:
+                if s not in row:
+                    if s // 2 in constrained:
                         hole = (c, s)
                         break
-                    blocked = (c, s)
+                    blocked = s
             if hole:
                 break
         if hole is None:
             if blocked is not None:
-                c, s = blocked
-                name_i = abs(_slot_letter(s))
-                name = (alphabet.display_names or [str(name_i)] * r)[name_i - 1]
                 raise IncompleteTableError(
-                    f"enumeration halted with the action of '{name}' undefined "
-                    "on some coset (infinite index)"
+                    f"enumeration halted with the action of '{names[blocked // 2]}' "
+                    "undefined on some coset (infinite index)"
                 )
             break
         c, s = hole
-        define(c, _slot_letter(s))
+        define(c, s)
         enqueue(c)
 
     # coset 0 survives every merge (the smaller coset always does), and every
@@ -836,7 +779,7 @@ def todd_coxeter(
             raise RuntimeError(f"table check failed: subgroup generator {g} moves coset 0")
     for c, row in enumerate(table.rows):
         for s, d in enumerate(row):
-            if table.rows[d][_slot(-_slot_letter(s))] != c:
+            if table.rows[d][s ^ 1] != c:  # slot s ^ 1 is the inverse letter
                 raise RuntimeError(f"table check failed: inverse mismatch at coset {c}")
     return table
 

@@ -12,6 +12,8 @@ That numbering is :func:`_orbit_table`, the one breadth-first orbit routine;
 the coset tables and permutation closures of :mod:`mcgcert.fpgroup` use it
 too.  :func:`_spanning_tree` underlies free bases and Schreier generators,
 and :func:`_signed_action` checks every permutation action.
+:class:`_Coincidences` is the one union-find over table rows: it folds the
+graphs here and processes the coincidences of Todd-Coxeter enumeration.
 
 The graph decides membership, index, and rank exactly, produces a free basis
 with rewriting of members over that basis, and supports intersections and
@@ -168,6 +170,85 @@ def _signed_action(
     return k, slots
 
 
+class _Coincidences:
+    """Rows of a partial table under union-find: the one coincidence core.
+
+    A Stallings fold and a Todd-Coxeter coincidence are the same step (Kapovich
+    and Myasnikov, "Stallings foldings and subgroups of free groups", 2002), so
+    :func:`subgroup_graph` and :func:`mcgcert.fpgroup.todd_coxeter` both run
+    on this.  ``rows[c]`` maps slot to target for a live row (targets may be
+    stale; apply :meth:`find`) and is None once the row merged into another.
+    Slot ``s ^ 1`` holds the inverse letter of slot ``s``.  Rows are dicts so
+    that a merge visits only filled slots: most vertices a fold merges have
+    two.  When two rows merge, the smaller number survives, so row 0 is
+    never merged away.
+    """
+
+    __slots__ = ("rows", "parent", "pending")
+
+    def __init__(self) -> None:
+        self.rows: List[Optional[Dict[int, int]]] = []
+        self.parent: List[int] = []
+        self.pending: deque = deque()
+
+    def add(self, k: int = 1) -> int:
+        """Add ``k`` empty rows; return the number of the first."""
+        n = len(self.rows)
+        self.rows.extend({} for _ in range(k))
+        self.parent.extend(range(n, n + k))
+        return n
+
+    def find(self, c: int) -> int:
+        parent = self.parent
+        root = c
+        while parent[root] != root:
+            root = parent[root]
+        while parent[c] != root:
+            parent[c], c = root, parent[c]
+        return root
+
+    def join(self, c: int, slot: int, d: int) -> None:
+        """Record the edge ``c -> d`` along ``slot`` and its inverse, queueing a
+        coincidence where a slot is already filled with another row."""
+        find = self.find
+        rc, rd = find(c), find(d)
+        row = self.rows[rc]
+        cur = row.get(slot)
+        if cur is None:
+            row[slot] = rd
+        elif find(cur) != rd:
+            self.pending.append((cur, rd))
+        row = self.rows[rd]
+        cur = row.get(slot ^ 1)
+        if cur is None:
+            row[slot ^ 1] = rc
+        elif find(cur) != rc:
+            self.pending.append((cur, rc))
+
+    def settle(self) -> List[int]:
+        """Merge every queued pair; return the surviving row of each merge."""
+        find, rows, parent, pending = self.find, self.rows, self.parent, self.pending
+        survivors = []
+        while pending:
+            x, y = pending.popleft()
+            rx, ry = find(x), find(y)
+            if rx == ry:
+                continue
+            if rx > ry:
+                rx, ry = ry, rx
+            parent[ry] = rx
+            absorbed, target = rows[ry], rows[rx]
+            rows[ry] = None
+            for s, t in absorbed.items():
+                cur = target.get(s)
+                if cur is None:
+                    target[s] = t
+                elif find(cur) != find(t):
+                    pending.append((cur, t))
+            survivors.append(rx)
+        return survivors
+
+
 @dataclass(frozen=True)
 class GraphInvariants:
     """Vertex and edge counts with the derived rank and index.
@@ -204,10 +285,6 @@ class SubgroupGraph:
     @property
     def vertices(self) -> int:
         return len(self.table)
-
-    def transition(self, vertex: int, letter: int) -> Optional[int]:
-        """Endpoint of the ``letter``-edge at ``vertex``, or None."""
-        return self.table[vertex][_slot(letter)]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SubgroupGraph):
@@ -326,11 +403,7 @@ class SubgroupGraph:
             return None if t1 is None or t2 is None else (t1, t2)
 
         _, rows = _orbit_table((0, 0), step, 2 * self.alphabet.rank)
-        adj = [
-            {_slot_letter(s): t for s, t in enumerate(row) if t is not None}
-            for row in rows
-        ]
-        return _finish(self.alphabet, adj, 0)
+        return _finish(self.alphabet, rows)
 
     def contains(self, other: "SubgroupGraph") -> bool:
         """Whether ``other`` is a subgroup of this subgroup."""
@@ -341,9 +414,13 @@ class SubgroupGraph:
 
 
 def subgroup_graph(alphabet: Alphabet, generators: Iterable[Word]) -> SubgroupGraph:
-    """Build the folded core graph of the subgroup the words generate."""
-    edges: List[Tuple[int, int, int]] = []
-    n = 1  # vertex 0 is the base
+    """Build the folded core graph of the subgroup the words generate.
+
+    Each generator becomes a loop of new vertices at the base 0; settling the
+    coincidences folds them, and :func:`_finish` prunes and renumbers.
+    """
+    core = _Coincidences()
+    core.add()
     for gen in generators:
         if gen.alphabet.rank != alphabet.rank:
             raise AlphabetMismatch("generator over a different ambient rank")
@@ -351,14 +428,19 @@ def subgroup_graph(alphabet: Alphabet, generators: Iterable[Word]) -> SubgroupGr
         if not letters:
             continue
         prev = 0
-        for i, letter in enumerate(letters):
-            nxt = 0 if i == len(letters) - 1 else n
-            if nxt != 0:
-                n += 1
-            edges.append((prev, letter, nxt))
-            prev = nxt
-    adj, base = _fold(n, edges)
-    return _finish(alphabet, adj, base)
+        nxt = core.add(len(letters) - 1)
+        for letter in letters[:-1]:
+            core.join(prev, _slot(letter), nxt)
+            prev, nxt = nxt, nxt + 1
+        core.join(prev, _slot(letters[-1]), 0)
+    core.settle()
+    find = core.find  # stale targets name merged-away rows
+    slots = range(2 * alphabet.rank)
+    rows = [
+        None if row is None else [find(row[s]) if s in row else None for s in slots]
+        for row in core.rows
+    ]
+    return _finish(alphabet, rows)
 
 
 def from_coset_action(
@@ -377,78 +459,30 @@ def from_coset_action(
     return SubgroupGraph(alphabet, rows)
 
 
-def _fold(
-    n: int, edges: Sequence[Tuple[int, int, int]]
-) -> Tuple[List[Dict[int, int]], int]:
-    """Union-find folding: clean adjacency plus the base's representative.
+def _finish(
+    alphabet: Alphabet, rows: Sequence[Optional[Sequence[Optional[int]]]]
+) -> SubgroupGraph:
+    """Prune degree-one vertices other than the base 0, then renumber by BFS.
 
-    Vertices that were merged away get an empty dict; all targets in
-    surviving dicts are representatives.  Vertex 0 is the base, but its class
-    may end up represented by another vertex, hence the second return value.
+    ``rows[v][s]`` is the vertex reached from ``v`` along slot ``s``, or None;
+    ``rows[v]`` is None for a vertex that is gone.  ``degree[v]`` counts the
+    kept edges at ``v`` and drops to 0 when ``v`` is pruned.
     """
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    out: List[Dict[int, int]] = [dict() for _ in range(n)]
-    pending: deque = deque()
-
-    def set_edge(u: int, letter: int, v: int) -> None:
-        ru = find(u)
-        cur = out[ru].get(letter)
-        if cur is None:
-            out[ru][letter] = v
-        elif find(cur) != find(v):
-            pending.append((cur, v))
-
-    for u, letter, v in edges:
-        set_edge(u, letter, v)
-        set_edge(v, -letter, u)
-    while pending:
-        a, b = pending.popleft()
-        ra, rb = find(a), find(b)
-        if ra == rb:
+    degree = [0 if row is None else len(row) - row.count(None) for row in rows]
+    leaves = [v for v in range(1, len(rows)) if degree[v] == 1]
+    while leaves:
+        v = leaves.pop()
+        if degree[v] != 1:
             continue
-        if len(out[ra]) < len(out[rb]):
-            ra, rb = rb, ra
-        parent[rb] = ra
-        absorbed = out[rb]
-        out[rb] = {}
-        for letter, t in absorbed.items():
-            cur = out[ra].get(letter)
-            if cur is None:
-                out[ra][letter] = t
-            elif find(cur) != find(t):
-                pending.append((cur, t))
-    clean: List[Dict[int, int]] = [dict() for _ in range(n)]
-    for v in range(n):
-        if find(v) == v:
-            clean[v] = {letter: find(t) for letter, t in out[v].items()}
-    return clean, find(0)
+        degree[v] = 0
+        w = next(t for t in rows[v] if t is not None and degree[t])
+        degree[w] -= 1
+        if w != 0 and degree[w] == 1:
+            leaves.append(w)
 
+    def step(v: int, s: int) -> Optional[int]:
+        t = rows[v][s]
+        return t if t is not None and degree[t] else None
 
-def _finish(alphabet: Alphabet, adj: List[Dict[int, int]], base: int) -> SubgroupGraph:
-    """Prune degree-one non-base vertices, then renumber by BFS."""
-    alive = [bool(d) or v == base for v, d in enumerate(adj)]
-    queue = deque(
-        v for v, d in enumerate(adj) if alive[v] and v != base and len(d) == 1
-    )
-    while queue:
-        v = queue.popleft()
-        if not alive[v] or v == base or len(adj[v]) != 1:
-            continue
-        letter, w = next(iter(adj[v].items()))
-        alive[v] = False
-        adj[v] = {}
-        del adj[w][-letter]
-        if w != base and len(adj[w]) == 1:
-            queue.append(w)
-    letters = [_slot_letter(s) for s in range(2 * alphabet.rank)]
-    _, table = _orbit_table(base, lambda v, s: adj[v].get(letters[s]), len(letters))
+    _, table = _orbit_table(0, step, 2 * alphabet.rank)
     return SubgroupGraph(alphabet, table)

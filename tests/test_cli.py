@@ -327,6 +327,23 @@ def test_rs_bad_table_json(workdir, tmp_path):
     assert code == 2 and "invalid JSON" in err
 
 
+@pytest.mark.parametrize(
+    "table",
+    [
+        '{"cosets": true, "action": {"a": [1], "b": [1]}}',
+        '{"cosets": 1, "action": {"a": [true], "b": [true]}}',
+    ],
+)
+def test_rs_table_with_json_booleans(tmp_path, table):
+    # bool is an int in Python; read as numbers these would be a valid table
+    p3 = tmp_path / "sphere3.txt"
+    p3.write_text(format_presentation(punctured_sphere_presentation(3)))
+    f = tmp_path / "table.json"
+    f.write_text(table)
+    code, out, err = cli("fpg", "rs", str(p3), "--table", str(f))
+    assert code == 2 and out == "" and "must" in err
+
+
 def test_perm_text(workdir):
     code, out, _ = cli(
         "fpg",
@@ -372,6 +389,16 @@ def test_perm_not_a_permutation(workdir, tmp_path):
     assert code == 2 and "permutation of 1..3" in err
 
 
+def test_perm_generator_assigned_twice(tmp_path):
+    # keeping only the last line would print "order: 1", "homomorphism: true"
+    p3 = tmp_path / "sphere3.txt"
+    p3.write_text(format_presentation(punctured_sphere_presentation(3)))
+    f = tmp_path / "assign.txt"
+    f.write_text("points: 2\na: 2 1\na: 1 2\nb: 1 2\n")
+    code, out, err = cli("fpg", "perm", str(p3), "--assign", str(f))
+    assert code == 2 and out == "" and "'a' is assigned twice" in err
+
+
 # --- qm -------------------------------------------------------------------------
 
 
@@ -383,6 +410,19 @@ def test_eval():
 def test_defect():
     code, out, _ = cli("qm", "defect", "--pattern", "ab", "--radius", "2")
     assert (code, out) == (0, "1\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("eval", "--pattern", "1", "--word", "ab"), "bad pattern '1'"),
+        (("defect", "--pattern", "aA", "--radius", "2"), "bad pattern 'aA'"),
+        (("defect", "--pattern", "ab", "--radius", "-1"), "--radius -1"),
+    ],
+)
+def test_qm_bad_arguments(argv, message):
+    code, out, err = cli("qm", *argv)
+    assert code == 2 and out == "" and message in err
 
 
 def test_defect_budget_exhausted():

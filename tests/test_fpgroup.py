@@ -224,6 +224,36 @@ def test_todd_coxeter_budget():
         todd_coxeter(Z2, budget=500)
 
 
+def _pure_generators(alphabet, n):
+    """A_ij = (w_{j-1} ... w_{i+1}) w_i^2 (w_{j-1} ... w_{i+1})^-1, 1 <= i < j <= n-1."""
+    gens = []
+    for i in range(1, n):
+        for j in range(i + 1, n):
+            conj = tuple(range(j - 1, i, -1))
+            gens.append(alphabet.word(conj + (i, i) + tuple(-x for x in reversed(conj))))
+    return gens
+
+
+@pytest.mark.parametrize(
+    "n, squares, index, defined",
+    [(4, False, 24, 132), (5, False, 120, 1376), (6, False, 720, 12792), (4, True, 24, 204)],
+)
+def test_todd_coxeter_defines_a_fixed_number_of_cosets(n, squares, index, defined):
+    # the enumeration order fixes how many cosets are ever defined, and the
+    # budget (``fpg coset --max``) counts exactly those: the pure subgroup of
+    # the n-punctured sphere, or <a^2, b^2> in the 4-punctured sphere
+    from mcgcert.constructions import punctured_sphere_presentation
+
+    p = punctured_sphere_presentation(n)
+    if squares:
+        gens = [p.alphabet.parse("aa"), p.alphabet.parse("bb")]
+    else:
+        gens = _pure_generators(p.alphabet, n)
+    assert todd_coxeter(p, gens, budget=defined).index == index
+    with pytest.raises(EnumerationBudgetError):
+        todd_coxeter(p, gens, budget=defined - 1)
+
+
 def test_todd_coxeter_incomplete_detection():
     # b constrained by nothing: infinite index, caught up front
     with pytest.raises(IncompleteTableError):
@@ -312,6 +342,11 @@ def test_coset_table_json_validation():
         CosetTable.from_json_dict({"action": {"a": [1]}})
     with pytest.raises(ValueError):
         CosetTable.from_json_dict({"cosets": 1, "action": {"a": 1}})
+    # JSON booleans are not integers, though Python's bool subclasses int
+    with pytest.raises(ValueError):
+        CosetTable.from_json_dict({"cosets": True, "action": {"a": [1], "A": [1]}})
+    with pytest.raises(ValueError):
+        CosetTable.from_json_dict({"cosets": 1, "action": {"a": [True]}})
 
 
 def test_trace_and_action_dict():
