@@ -440,6 +440,25 @@ def _cmd_verify(args) -> int:
 # parser
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer of at least ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
+positive_int = _int_at_least(1)
+nonnegative_int = _int_at_least(0)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mcgcert",
@@ -477,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     co = fp_sub.add_parser("coset")
     co.add_argument("presentation", help="presentation file")
     co.add_argument("--sub", help="subgroup generator list file")
-    co.add_argument("--max", type=int, default=10**6, help="coset budget")
+    co.add_argument("--max", type=positive_int, default=10**6, help="coset budget")
     co.add_argument("--json", metavar="PATH", help="write the table JSON here")
     co.set_defaults(handler=_cmd_fpg)
     rs = fp_sub.add_parser("rs")
@@ -485,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     rs.add_argument("--table", required=True, help="coset table JSON file")
     rs.add_argument(
         "--simplify",
-        type=int,
+        type=nonnegative_int,
         metavar="BUDGET",
         help="Tietze-simplify with this move budget",
     )
@@ -494,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
     pm = fp_sub.add_parser("perm")
     pm.add_argument("presentation", help="presentation file")
     pm.add_argument("--assign", required=True, help="assignment file")
-    pm.add_argument("--max", type=int, default=10**4, help="closure bound")
+    pm.add_argument("--max", type=positive_int, default=10**4, help="closure bound")
     pm.add_argument("--json", action="store_true", help="JSON output")
     pm.set_defaults(handler=_cmd_fpg)
 
@@ -508,7 +527,10 @@ def build_parser() -> argparse.ArgumentParser:
     df.add_argument("--pattern", required=True, help="pattern word")
     df.add_argument("--radius", type=int, required=True, help="ball radius")
     df.add_argument(
-        "--pair-budget", type=int, default=3 * 10**6, help="pair evaluation cap"
+        "--pair-budget",
+        type=positive_int,
+        default=3 * 10**6,
+        help="cap on |ball|^2, the number of pairs",
     )
     df.set_defaults(handler=_cmd_qm)
     rk = qm_sub.add_parser("rank")
@@ -530,10 +552,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     vf.add_argument("--json", metavar="PATH", help="write the report JSON here")
     vf.add_argument(
-        "--tietze-budget", type=int, default=10**4, help="simplification budget"
+        "--tietze-budget",
+        type=nonnegative_int,
+        default=10**4,
+        help="simplification budget",
     )
     vf.add_argument(
-        "--homog-cap", type=int, default=64, help="homogenization power cap"
+        "--homog-cap", type=positive_int, default=64, help="homogenization power cap"
     )
     vf.add_argument("--seed", type=int, default=1729, help="seed for sampled checks")
     vf.add_argument(

@@ -7,10 +7,28 @@ finite rational combination of antisymmetrized counting functions,
 optionally precomposed with a free-group homomorphism; antisymmetry
 f(g^-1) = -f(g) holds exactly.
 
-The module computes defects over balls (exactly, with an integer fast
-path), homogenizes along powers, pulls back along homomorphisms, forms
-coboundaries of bounded cochains, and measures linear independence modulo
-homomorphisms over the rationals.
+The module computes defects over balls (exactly, in integers scaled from
+the coefficients), homogenizes along powers, pulls back along
+homomorphisms, forms coboundaries of bounded cochains, and measures linear
+independence modulo homomorphisms over the rationals.
+
+Defects from the seams.  When no pattern overlaps a proper shift of itself
+(no proper suffix equals a prefix), the greedy count is the plain count of
+windows, so f is additive up to the windows across a seam.  Let m be the
+longest pattern length and write x = x'u, y = u^-1 y' with x'y' reduced.
+The windows inside x', u and y' cancel (f(u^-1) = -f(u)), leaving
+
+    f(xy) - f(x) - f(y) = J(x', y') - J(x', u) - J(u^-1, y'),
+
+where J(s, t) is the signed count of pattern windows across the seam of
+st.  J reads only the last m-1 letters of s and the first m-1 of t, so
+:func:`defect_ball` maximizes over triples of such ends instead of over
+pairs of the ball; a triple fits in the ball of radius R when
+|x'| + |u| <= R and |u| + |y'| <= R.  Every triple of ends fits once
+R >= 2(m-1), so from there on the ball defect is the defect on all of F_k:
+these functions are genuine quasimorphisms, with an exact defect.  A
+precomposition or a self-overlapping pattern (``aa``, ``aba``) breaks the
+argument, and those defects are computed pair by pair.
 """
 
 from __future__ import annotations
@@ -129,41 +147,66 @@ class Quasimorphism:
         return Quasimorphism(self.terms, precompose=combined)
 
 
-def defect_ball(
-    qm: Quasimorphism, radius: int, pair_budget: int = 3_000_000
-) -> Fraction:
-    """max |f(xy) - f(x) - f(y)| over all pairs from the ball of the radius.
+# A pair count is computed exactly unless a lower bound on it already has
+# more bits than this and than the budget: a huge radius costs no huge power.
+_EXACT_PAIR_BITS = 4096
 
-    Exact: coefficients are scaled to integers, the maximum is taken in
-    integer arithmetic, and the result is divided back down.  The number of
-    pairs is |ball|^2; exceeding ``pair_budget`` raises
-    :class:`BallBudgetError`.
-    """
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
-    domain_ball = ball(qm.domain, radius)
-    pairs = len(domain_ball) * len(domain_ball)
-    if pairs > pair_budget:
+
+def _ball_size(rank: int, radius: int) -> int:
+    """|ball(F_rank, radius)| in closed form: 1 + 2k((2k-1)^r - 1)/(2k-2)."""
+    if rank <= 1:
+        return 1 + 2 * rank * radius
+    q = 2 * rank - 1
+    return 1 + 2 * rank * (q**radius - 1) // (q - 1)
+
+
+def _check_pair_budget(rank: int, radius: int, pair_budget: int) -> None:
+    """Raise :class:`BallBudgetError` when |ball|^2 exceeds the budget,
+    without building a word."""
+    # For rank >= 2 the pair count exceeds (2k-1)^(2r) >= 2^bits.
+    bits = radius * (2 * rank - 1).bit_length() if rank >= 2 else 0
+    if bits > max(_EXACT_PAIR_BITS, pair_budget.bit_length()):
         raise BallBudgetError(
-            f"{pairs} pairs exceed the budget {pair_budget}"
+            f"more than 2^{bits} pairs exceed the budget {pair_budget}"
         )
+    pairs = _ball_size(rank, radius) ** 2
+    if pairs > pair_budget:
+        raise BallBudgetError(f"{pairs} pairs exceed the budget {pair_budget}")
+
+
+def _overlaps_itself(pattern: Tuple[int, ...]) -> bool:
+    """Whether a proper suffix of the pattern equals a prefix."""
+    m = len(pattern)
+    return any(pattern[k:] == pattern[: m - k] for k in range(1, m))
+
+
+def _scaled_terms(
+    qm: Quasimorphism,
+) -> Tuple[int, List[Tuple[int, Tuple[int, ...]]]]:
+    """(scale, signed terms): integer coefficients times scale, one term per
+    pattern and one, negated, per inverse pattern."""
     scale = lcm(*(coeff.denominator for coeff, _ in qm.terms))
-    int_terms = [
-        (int(coeff * scale), pattern.letters, _invert(pattern.letters))
-        for coeff, pattern in qm.terms
-    ]
+    terms = []
+    for coeff, pattern in qm.terms:
+        c = int(coeff * scale)
+        terms.append((c, pattern.letters))
+        terms.append((-c, _invert(pattern.letters)))
+    return scale, terms
+
+
+def _pair_defect(qm: Quasimorphism, radius: int) -> Fraction:
+    """The ball defect pair by pair: every product of two ball elements."""
+    scale, terms = _scaled_terms(qm)
 
     def value(letters: Tuple[int, ...]) -> int:
-        total = 0
-        for c, pat, ipat in int_terms:
-            total += c * (_count(pat, letters) - _count(ipat, letters))
-        return total
+        return sum(c * _count(pat, letters) for c, pat in terms)
 
     # work with images so the precomposition is applied once per ball element
+    domain_ball = ball(qm.domain, radius)
     if qm.precompose is not None:
         images = [qm.precompose(w) for w in domain_ball]
     else:
-        images = list(domain_ball)
+        images = domain_ball
     values = [value(w.letters) for w in images]
     worst = 0
     for i, x in enumerate(images):
@@ -175,6 +218,98 @@ def defect_ball(
             if d > worst:
                 worst = d
     return Fraction(worst, scale)
+
+
+def _seam_defect(qm: Quasimorphism, radius: int) -> Fraction:
+    """The ball defect from the windows across the seams of x'u, u^-1 y', x'y'.
+
+    Needs patterns that overlap no shift of themselves and no precompose;
+    see the module docstring for why it is exact.  A window across the seam
+    of st matches a pattern split p = head + tail when s ends with head and
+    t starts with tail, so J(s, t) = sum of c over the splits in
+    heads(s) & tails(t).  Ends with the same splits, the same end letter and
+    a greater length add no triple, so each role keeps one shortest end per
+    class.
+    """
+    scale, terms = _scaled_terms(qm)
+    splits = [
+        (c, pat[:j], pat[j:]) for c, pat in terms for j in range(1, len(pat))
+    ]
+
+    def heads(s: Tuple[int, ...]) -> frozenset:
+        return frozenset(
+            k for k, (_, head, _) in enumerate(splits) if s[-len(head) :] == head
+        )
+
+    def tails(t: Tuple[int, ...]) -> frozenset:
+        return frozenset(
+            k for k, (_, _, tail) in enumerate(splits) if t[: len(tail)] == tail
+        )
+
+    m = max(len(pat) for _, pat in terms)
+    lefts: dict = {}  # (heads(x'), last letter) -> shortest |x'|
+    rights: dict = {}  # (tails(y'), first letter) -> shortest |y'|
+    middles: dict = {}  # (tails(u), heads(u^-1), first letter) -> shortest |u|
+    # ball is ordered by length, so setdefault keeps the shortest end
+    for w in ball(qm.domain, min(m - 1, radius)):
+        s = w.letters
+        first, last = (s[0], s[-1]) if s else (0, 0)
+        lefts.setdefault((heads(s), last), len(s))
+        rights.setdefault((tails(s), first), len(s))
+        middles.setdefault((tails(s), heads(_invert(s)), first), len(s))
+
+    seams: dict = {}
+
+    def across(a: frozenset, b: frozenset) -> int:
+        key = (a, b)
+        if key not in seams:
+            seams[key] = sum(splits[k][0] for k in a & b)
+        return seams[key]
+
+    worst = 0
+    for (x_heads, x_last), x_len in lefts.items():
+        for (u_tails, ui_heads, u_first), u_len in middles.items():
+            if x_len + u_len > radius or (x_last and x_last == -u_first):
+                continue  # too long, or x = x'u not reduced
+            xu = across(x_heads, u_tails)
+            for (y_tails, y_first), y_len in rights.items():
+                if u_len + y_len > radius:
+                    continue
+                if (u_first and u_first == y_first) or (x_last and x_last == -y_first):
+                    continue  # y = u^-1 y' not reduced, or cancellation beyond u
+                d = across(x_heads, y_tails) - xu - across(ui_heads, y_tails)
+                if d < 0:
+                    d = -d
+                if d > worst:
+                    worst = d
+    return Fraction(worst, scale)
+
+
+def defect_ball(
+    qm: Quasimorphism, radius: int, pair_budget: int = 3_000_000
+) -> Fraction:
+    """max |f(xy) - f(x) - f(y)| over all pairs x, y of the ball of the radius.
+
+    Exact: coefficients are scaled to integers, the maximum is taken in
+    integer arithmetic, and the result is divided back down.
+
+    Without ``precompose`` and when no pattern overlaps a proper shift of
+    itself, the maximum comes from the seam windows (see the module
+    docstring): the cost depends on the longest pattern length m, not on
+    the radius, and for radius >= 2(m - 1) the result is the defect on all
+    of F_k.  Otherwise every pair of the ball is evaluated.
+
+    On both paths the budget bounds |ball|^2, checked before any word is
+    built; exceeding ``pair_budget`` raises :class:`BallBudgetError`.
+    """
+    if radius < 0:
+        raise ValueError("radius must be nonnegative")
+    _check_pair_budget(qm.domain.rank, radius, pair_budget)
+    if qm.precompose is None and not any(
+        _overlaps_itself(pattern.letters) for _, pattern in qm.terms
+    ):
+        return _seam_defect(qm, radius)
+    return _pair_defect(qm, radius)
 
 
 def homogenize(qm: Quasimorphism, word: Word, cap: int = 64) -> Fraction:

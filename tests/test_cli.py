@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -423,6 +424,52 @@ def test_defect():
 def test_qm_bad_arguments(argv, message):
     code, out, err = cli("qm", *argv)
     assert code == 2 and out == "" and message in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("fpg", "coset", "p.txt", "--max", "-3"), "argument --max: must be at least 1"),
+        (("fpg", "coset", "p.txt", "--max", "0"), "argument --max: must be at least 1"),
+        (
+            ("fpg", "perm", "p.txt", "--assign", "a.txt", "--max", "0"),
+            "argument --max: must be at least 1",
+        ),
+        (
+            ("fpg", "rs", "p.txt", "--table", "t.json", "--simplify", "-5"),
+            "argument --simplify: must be at least 0",
+        ),
+        (
+            ("qm", "defect", "--pattern", "ab", "--radius", "2", "--pair-budget", "-1"),
+            "argument --pair-budget: must be at least 1",
+        ),
+        (("verify", "--homog-cap", "0"), "argument --homog-cap: must be at least 1"),
+        (
+            ("verify", "--tietze-budget", "-1"),
+            "argument --tietze-budget: must be at least 0",
+        ),
+        (("verify", "--homog-cap", "x"), "argument --homog-cap: invalid int value: 'x'"),
+    ],
+)
+def test_budget_below_its_floor(argv, message):
+    err = io.StringIO()
+    with redirect_stderr(err), pytest.raises(SystemExit) as info:
+        run(list(argv))
+    assert info.value.code == 2 and message in err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "radius, message",
+    [
+        ("30", "169564633100863990492649354209 pairs exceed the budget 3000000"),
+        ("1000000000", "more than 2^2000000000 pairs exceed the budget 3000000"),
+    ],
+)
+def test_defect_huge_radius_refused_before_any_word(radius, message):
+    start = time.perf_counter()
+    code, out, err = cli("qm", "defect", "--pattern", "ab", "--radius", radius)
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 def test_defect_budget_exhausted():

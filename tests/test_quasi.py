@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mcgcert.constructions import brooks_family
 from mcgcert.quasi import (
     BallBudgetError,
     BoundedCochain,
@@ -21,6 +22,7 @@ from mcgcert.quasi import (
     homogenize,
     independence_rank,
 )
+from mcgcert.quasi import _pair_defect, _seam_defect
 from mcgcert.words import Alphabet, AlphabetMismatch, FreeHom, Word, ball
 
 F2 = Alphabet(2)
@@ -162,6 +164,84 @@ def test_defect_with_precompose():
     hom = FreeHom(F2, F2, (F2.parse("a"), F2.parse("ab")))
     f = F_AB.pullback(hom)
     assert defect_ball(f, 2) >= 0
+
+
+def overlaps_itself(letters):
+    return any(letters[k:] == letters[: len(letters) - k] for k in range(1, len(letters)))
+
+
+# reduced patterns of length <= 4 whose windows never overlap, by rank
+SEAM_PATTERNS = {
+    alphabet.rank: [
+        w for w in ball(alphabet, 4) if w.letters and not overlaps_itself(w.letters)
+    ]
+    for alphabet in (F2, F3)
+}
+
+
+@st.composite
+def seam_quasimorphisms(draw):
+    rank = draw(st.sampled_from(sorted(SEAM_PATTERNS)))
+    term = st.tuples(
+        st.fractions(min_value=-3, max_value=3, max_denominator=5),
+        st.sampled_from(SEAM_PATTERNS[rank]),
+    )
+    return Quasimorphism(draw(st.lists(term, min_size=1, max_size=3)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seam_quasimorphisms())
+def test_seam_defect_matches_every_pair(qm):
+    # rank 3 stops at radius 3: the radius-4 ball of F_3 has 877,969 pairs,
+    # seconds of brute force per example
+    top = 4 if qm.domain.rank == 2 else 3
+    for radius in range(top + 1):
+        assert defect_ball(qm, radius) == _pair_defect(qm, radius)
+
+
+def test_defect_commutator_radius_six():
+    assert defect_ball(Quasimorphism([(1, F2.parse("abAB"))]), 6) == 2
+
+
+@pytest.mark.parametrize(
+    "qm",
+    [Quasimorphism([(1, F2.parse("abAB"))])] + brooks_family(2)[0],
+    ids=["abAB", "brooks-1", "brooks-2"],
+)
+def test_defect_is_global_from_twice_the_window(qm):
+    # no self-overlap: the ball defect stops growing at radius 2(m - 1)
+    m = max(len(pattern.letters) for _, pattern in qm.terms)
+    budget = 10**40
+    at = defect_ball(qm, 2 * (m - 1), pair_budget=budget)
+    assert at == defect_ball(qm, 2 * (m - 1) + 3, pair_budget=budget)
+    assert at > 0
+
+
+@pytest.mark.parametrize("text", ["aa", "aba", "abab"])
+def test_self_overlapping_pattern_counts_every_pair(text):
+    qm = Quasimorphism([(1, F2.parse(text))])
+    for radius in range(4):
+        assert defect_ball(qm, radius) == _pair_defect(qm, radius)
+
+
+def test_seams_miss_greedy_counts_of_self_overlapping_patterns():
+    # abab occurs twice as a window of ababab but only once greedily
+    qm = Quasimorphism([(1, F2.parse("abab"))])
+    assert _seam_defect(qm, 3) == 2 and defect_ball(qm, 3) == 1
+
+
+def test_precompose_counts_every_pair():
+    hom = FreeHom(F2, F2, (F2.parse("a"), F2.parse("ab")))
+    f = Quasimorphism([(1, F2.parse("abAB"))]).pullback(hom)
+    for radius in range(4):
+        assert defect_ball(f, radius) == _pair_defect(f, radius)
+
+
+def test_defect_budget_checked_before_the_ball():
+    with pytest.raises(BallBudgetError, match="^19123129 pairs exceed the budget 3000000$"):
+        defect_ball(F_AB, 7)
+    with pytest.raises(BallBudgetError, match=r"^more than 2\^2000000000 pairs"):
+        defect_ball(F_AB, 10**9)
 
 
 # --- homogenization ---------------------------------------------------------------
