@@ -48,7 +48,7 @@ from .fpgroup import (
     todd_coxeter,
 )
 from .quasi import BallBudgetError, Quasimorphism, defect_ball, independence_rank
-from .stallings import InfiniteIndexError, SubgroupGraph, subgroup_graph
+from .stallings import SubgroupGraph, subgroup_graph
 from .words import Alphabet, ParseError, Word, format_word
 
 
@@ -530,7 +530,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--pair-budget",
         type=positive_int,
         default=3 * 10**6,
-        help="cap on |ball|^2, the number of pairs",
+        help="cap on |ball|^2 for the ball enumerated: radius min(|p|-1, RADIUS) "
+        "when the pattern overlaps no proper shift of itself, RADIUS otherwise",
     )
     df.set_defaults(handler=_cmd_qm)
     rk = qm_sub.add_parser("rank")
@@ -591,7 +592,6 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         IncompleteTableError,
         ClosureBoundError,
         BallBudgetError,
-        InfiniteIndexError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

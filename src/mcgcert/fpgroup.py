@@ -23,8 +23,9 @@ Every table here is numbered by :func:`mcgcert.stallings._orbit_table`, the
 breadth-first orbit routine that also numbers subgroup graphs (letters
 scanned in the order +1, -1, +2, -2, ...), so tables produced by different
 routes compare equal whenever they describe the same action.  Permutation
-assignments are checked by :func:`mcgcert.stallings._signed_action`, and
-Schreier generators come from :func:`mcgcert.stallings._spanning_tree`.
+assignments are checked by :func:`mcgcert.stallings._signed_action`.  A
+:class:`CosetTable` is a complete :class:`mcgcert.stallings.SubgroupGraph`;
+:func:`mcgcert.stallings._schreier_basis` builds the Schreier generators.
 Todd-Coxeter coincidences are processed by
 :class:`mcgcert.stallings._Coincidences`, the union-find that also folds
 subgroup graphs: a coincidence is a Stallings fold.
@@ -40,11 +41,11 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from mcgcert.stallings import (
     ClosureBoundError,
+    SubgroupGraph,
     _Coincidences,
     _orbit_table,
+    _schreier_basis,
     _signed_action,
-    _signed_columns,
-    _spanning_tree,
     _walk,
 )
 from mcgcert.words import (
@@ -543,44 +544,33 @@ def abelianization(p: Presentation) -> AbelianStructure:
 # coset tables
 
 
-@dataclass(frozen=True)
-class CosetTable:
-    """A complete table for a transitive action on cosets 0..k-1.
+class CosetTable(SubgroupGraph):
+    """A complete table for a transitive action on cosets 0..k-1: the
+    complete subgroup graph of the stabilizer of coset 0.
 
     ``rows[c][slot]`` is the coset reached from ``c`` along the slot's
     letter.  Tables coming out of this module are standardized: numbering is
-    breadth-first from coset 0 in slot order.
+    breadth-first from coset 0 in slot order.  JSON tables keep theirs.
     """
 
-    alphabet: Alphabet
-    rows: Tuple[Tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __init__(self, alphabet: Alphabet, rows):
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "rows", tuple(tuple(r) for r in rows))
+    @property
+    def rows(self) -> Tuple[Tuple[int, ...], ...]:
+        return self.table
 
     @property
     def index(self) -> int:
-        return len(self.rows)
+        return len(self.table)
+
+    action_dict = SubgroupGraph.coset_action
 
     def action(self, letter: int) -> Tuple[int, ...]:
-        return tuple(row[_slot(letter)] for row in self.rows)
-
-    def action_dict(self) -> Dict[int, Tuple[int, ...]]:
-        return _signed_columns(self.rows, self.alphabet.rank)
+        return tuple(row[_slot(letter)] for row in self.table)
 
     def trace(self, coset: int, word: Word) -> int:
-        if word.alphabet.rank != self.alphabet.rank:
-            raise AlphabetMismatch("word over a different ambient rank")
-        return _walk(self.rows, coset, word.letters)[0]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CosetTable):
-            return NotImplemented
-        return (self.alphabet.rank, self.rows) == (other.alphabet.rank, other.rows)
-
-    def __hash__(self) -> int:
-        return hash((self.alphabet.rank, self.rows))
+        self._check_word(word)
+        return _walk(self.table, coset, word.letters)[0]
 
     def to_json_dict(self) -> dict:
         """One-based JSON form: {"cosets": k, "action": {"a": [...], "A": [...]}}."""
@@ -883,29 +873,19 @@ class SchreierData:
 def reidemeister_schreier(p: Presentation, table: CosetTable) -> SchreierData:
     """Present the subgroup whose coset table is given.
 
-    Schreier generators come from non-tree edges of the breadth-first
-    spanning tree of the table, one per (coset, positive letter) pair; the
-    relators are every ambient relator rewritten at every coset.  A relator
-    that does not bring a coset back to itself shows that the table is not
-    an action of ``p``, and raises ValueError.
+    Schreier generators come from :func:`mcgcert.stallings._schreier_basis`
+    over the positive slots, one per non-tree (coset, positive letter) pair;
+    the relators are every ambient relator rewritten at every coset.  A
+    relator that does not bring a coset back to itself shows that the table
+    is not an action of ``p``, and raises ValueError.
     """
     if table.alphabet.rank != p.alphabet.rank:
         raise AlphabetMismatch("table over a different ambient rank")
     k = table.index
-    reps, tree = _spanning_tree(table.rows)
+    reps, gens, symbol = _schreier_basis(table.rows, range(0, 2 * p.alphabet.rank, 2))
     if any(rep is None for rep in reps):
         raise ValueError("coset table is not transitive")
-
-    symbol: Dict[Tuple[int, int], int] = {}
-    gen_words: List[Word] = []
-    for c in range(k):
-        for x in range(1, p.alphabet.rank + 1):
-            if (c, x) in tree:
-                continue
-            d = table.rows[c][_slot(x)]
-            gen_words.append(p.alphabet.word(reps[c] + (x,) + _invert(reps[d])))
-            symbol[(c, x)] = len(gen_words)
-            symbol[(d, -x)] = -len(gen_words)
+    gen_words = tuple(map(p.alphabet.word, gens))
 
     sub_alphabet = Alphabet(len(gen_words)) if gen_words else Alphabet(1)
 
@@ -921,7 +901,7 @@ def reidemeister_schreier(p: Presentation, table: CosetTable) -> SchreierData:
     relators = [rewrite(w, c) for w in p.relators for c in range(k)]
     return SchreierData(
         presentation=Presentation(sub_alphabet, relators),
-        generator_words=tuple(gen_words),
+        generator_words=gen_words,
     )
 
 

@@ -119,10 +119,6 @@ class Quasimorphism:
             return self.precompose.domain
         return self.terms[0][1].alphabet
 
-    @property
-    def pattern_alphabet(self) -> Alphabet:
-        return self.terms[0][1].alphabet
-
     def __call__(self, word: Word) -> Fraction:
         if word.alphabet.rank != self.domain.rank:
             raise AlphabetMismatch("word outside the quasimorphism's domain")
@@ -299,26 +295,28 @@ def defect_ball(
     the radius, and for radius >= 2(m - 1) the result is the defect on all
     of F_k.  Otherwise every pair of the ball is evaluated.
 
-    On both paths the budget bounds |ball|^2, checked before any word is
-    built; exceeding ``pair_budget`` raises :class:`BallBudgetError`.
+    The budget bounds |ball|^2 for the ball the chosen path enumerates: the
+    ends of radius min(m - 1, radius) on the seam path, the whole ball on
+    the pair path.  It is checked before any word is built; exceeding
+    ``pair_budget`` raises :class:`BallBudgetError`.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    _check_pair_budget(qm.domain.rank, radius, pair_budget)
-    if qm.precompose is None and not any(
-        _overlaps_itself(pattern.letters) for _, pattern in qm.terms
-    ):
-        return _seam_defect(qm, radius)
-    return _pair_defect(qm, radius)
+    patterns = [pattern.letters for _, pattern in qm.terms]
+    seams = qm.precompose is None and not any(map(_overlaps_itself, patterns))
+    ends = min(max(map(len, patterns)) - 1, radius) if seams else radius
+    _check_pair_budget(qm.domain.rank, ends, pair_budget)
+    return _seam_defect(qm, radius) if seams else _pair_defect(qm, radius)
 
 
 def homogenize(qm: Quasimorphism, word: Word, cap: int = 64) -> Fraction:
     """Limit of f(g^m)/m, detected by stabilizing successive differences.
 
     Computes d_m = f(g^(m+1)) - f(g^m) and returns the first value taken by
-    three consecutive equal differences.  Counting functions are eventually
-    arithmetic along powers, so this terminates for them; oscillating
-    differences raise :class:`HomogenizationError` at the cap.
+    three consecutive equal differences, or raises
+    :class:`HomogenizationError` at the cap.  For a self-overlapping pattern
+    the differences can alternate forever: ``aa`` at ``a`` and ``aba`` at
+    ``ab`` raise although both limits are 1/2.
     """
     if word.is_identity:
         return Fraction(0)

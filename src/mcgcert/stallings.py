@@ -10,10 +10,12 @@ and graph equality is plain tuple equality.
 
 That numbering is :func:`_orbit_table`, the one breadth-first orbit routine;
 the coset tables and permutation closures of :mod:`mcgcert.fpgroup` use it
-too.  :func:`_spanning_tree` underlies free bases and Schreier generators,
-and :func:`_signed_action` checks every permutation action.
-:class:`_Coincidences` is the one union-find over table rows: it folds the
-graphs here and processes the coincidences of Todd-Coxeter enumeration.
+too, and :class:`mcgcert.fpgroup.CosetTable` is a :class:`SubgroupGraph`
+with every slot filled.  :func:`_schreier_basis` builds free bases here and
+Reidemeister-Schreier generators there, :func:`_signed_action` checks every
+permutation action, and :class:`_Coincidences` is the one union-find over
+table rows: it folds the graphs here and processes the coincidences of
+Todd-Coxeter enumeration.
 
 The graph decides membership, index, and rank exactly, produces a free basis
 with rewriting of members over that basis, and supports intersections and
@@ -103,6 +105,37 @@ def _spanning_tree(
     return reps, tree
 
 
+def _schreier_basis(
+    rows: Sequence[Sequence[Optional[int]]], slots: Sequence[int]
+) -> Tuple[list, List[Tuple[int, ...]], Dict[Tuple[int, int], int]]:
+    """Schreier generators: one per edge off the tree of :func:`_spanning_tree`.
+
+    Scans the vertices reachable from 0, and at each the given slots, in
+    order, skipping tree edges and edges met before from their other end.
+    Returns ``(reps, gens, edge_sym)``: the tree paths, the letters of
+    ``rep(v) letter rep(t)^-1`` for each edge, and the two directions
+    ``(v, letter)`` of the i-th edge mapped to ``i`` and ``-i``, from 1.
+    """
+    reps, tree = _spanning_tree(rows)
+    gens: List[Tuple[int, ...]] = []
+    edge_sym: Dict[Tuple[int, int], int] = {}
+    for v, row in enumerate(rows):
+        rep = reps[v]
+        if rep is None:
+            continue
+        for s in slots:
+            t = row[s]
+            if t is None:
+                continue
+            letter = _slot_letter(s)
+            if (v, letter) in tree or (v, letter) in edge_sym:
+                continue
+            gens.append(rep + (letter,) + _invert(reps[t]))
+            edge_sym[(v, letter)] = len(gens)
+            edge_sym.setdefault((t, -letter), -len(gens))
+    return reps, gens, edge_sym
+
+
 def _walk(
     rows: Sequence[Sequence[Optional[int]]],
     start: int,
@@ -125,15 +158,6 @@ def _walk(
         if cur is None:
             break
     return cur, symbols
-
-
-def _signed_columns(
-    rows: Sequence[Sequence[Optional[int]]], rank: int
-) -> Dict[int, Tuple[Optional[int], ...]]:
-    """The column of each signed letter of a table, keyed +1, -1, +2, -2, ..."""
-    return {
-        _slot_letter(s): tuple(row[s] for row in rows) for s in range(2 * rank)
-    }
 
 
 def _signed_action(
@@ -295,7 +319,7 @@ class SubgroupGraph:
         return hash((self.alphabet.rank, self.table))
 
     def __repr__(self) -> str:
-        return f"SubgroupGraph(rank-{self.alphabet.rank} ambient, {self.vertices} vertices)"
+        return f"{type(self).__name__}(rank-{self.alphabet.rank} ambient, {self.vertices} vertices)"
 
     # -- membership and invariants ---------------------------------------
 
@@ -324,44 +348,21 @@ class SubgroupGraph:
     # -- spanning tree, basis, rewriting ---------------------------------
 
     def _tree_data(self):
-        """Spanning tree reps + basis of the subgroup, computed once.
-
-        Returns ``(reps, basis, edge_sym)`` where ``reps[v]`` is the letter
-        tuple of the tree path from the base to ``v``, ``basis`` is the list
-        of basis Words (one per non-tree edge, in scan order), and
-        ``edge_sym`` maps each directed non-tree edge ``(u, letter)`` to its
-        signed basis symbol.
-        """
+        """``(basis, edge_sym)`` from :func:`_schreier_basis` over every slot,
+        with the basis as Words in scan order; computed once."""
         cached = self._cache.get("tree")
-        if cached is not None:
-            return cached
-        reps, tree = _spanning_tree(self.table)
-        basis: List[Word] = []
-        edge_sym: Dict[Tuple[int, int], int] = {}
-        for v, row in enumerate(self.table):
-            for s, t in enumerate(row):
-                if t is None:
-                    continue
-                letter = _slot_letter(s)
-                if (v, letter) in tree or (v, letter) in edge_sym:
-                    continue
-                word = self.alphabet.word(reps[v] + (letter,) + _invert(reps[t]))
-                basis.append(word)
-                sym = len(basis)
-                edge_sym[(v, letter)] = sym
-                if (t, -letter) not in edge_sym:
-                    edge_sym[(t, -letter)] = -sym
-        data = (reps, basis, edge_sym)
-        self._cache["tree"] = data
-        return data
+        if cached is None:
+            _, gens, edge_sym = _schreier_basis(self.table, range(2 * self.alphabet.rank))
+            cached = self._cache["tree"] = ([self.alphabet.word(g) for g in gens], edge_sym)
+        return cached
 
     def basis(self) -> List[Word]:
         """A free basis of the subgroup, in deterministic scan order."""
-        return list(self._tree_data()[1])
+        return list(self._tree_data()[0])
 
     def basis_alphabet(self) -> Alphabet:
         """Alphabet for rewritten members; rank max(1, subgroup rank)."""
-        return Alphabet(max(1, len(self._tree_data()[1])))
+        return Alphabet(max(1, len(self._tree_data()[0])))
 
     def express(self, word: Word) -> Optional[Word]:
         """Rewrite a member over :meth:`basis`; None when not a member.
@@ -370,7 +371,7 @@ class SubgroupGraph:
         basis words for its letters recovers ``word`` exactly.
         """
         self._check_word(word)
-        end, symbols = _walk(self.table, 0, word.letters, self._tree_data()[2])
+        end, symbols = _walk(self.table, 0, word.letters, self._tree_data()[1])
         if end != 0:
             return None
         return self.basis_alphabet().word(_free_reduce(symbols))
@@ -384,12 +385,11 @@ class SubgroupGraph:
         same breadth-first standardization is used by the coset enumerator,
         so finite-index tables from both sides compare equal.
         """
-        inv = self.invariants()
-        if inv.index is None:
+        if self.invariants().index is None:
             raise InfiniteIndexError(
                 "subgroup has infinite index; no finite coset table exists"
             )
-        return _signed_columns(self.table, self.alphabet.rank)
+        return {_slot_letter(s): col for s, col in enumerate(zip(*self.table))}
 
     # -- lattice operations ------------------------------------------------
 

@@ -467,9 +467,25 @@ def test_budget_below_its_floor(argv, message):
 )
 def test_defect_huge_radius_refused_before_any_word(radius, message):
     start = time.perf_counter()
-    code, out, err = cli("qm", "defect", "--pattern", "ab", "--radius", radius)
+    code, out, err = cli("qm", "defect", "--pattern", "abab", "--radius", radius)
     assert time.perf_counter() - start < 1
     assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "pattern, radius, expected",
+    [
+        ("abbABB", "10", (0, "2\n", "")),
+        ("ab", "1000000000", (0, "1\n", "")),
+        ("abab", "7", (1, "", "error: 19123129 pairs exceed the budget 3000000\n")),
+    ],
+)
+def test_defect_budget_counts_the_enumerated_ball(pattern, radius, expected):
+    # the seam path enumerates ends of length min(|p| - 1, radius) only;
+    # a self-overlapping pattern still enumerates the whole ball
+    start = time.perf_counter()
+    assert cli("qm", "defect", "--pattern", pattern, "--radius", radius) == expected
+    assert time.perf_counter() - start < 1
 
 
 def test_defect_budget_exhausted():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 
 import pytest
@@ -31,7 +32,7 @@ from mcgcert.fpgroup import (
     todd_coxeter,
 )
 from mcgcert.stallings import from_coset_action, subgroup_graph
-from mcgcert.words import Alphabet, ParseError, Word
+from mcgcert.words import Alphabet, ParseError, Word, ball
 
 F2 = Alphabet(2)
 ST = Alphabet(2, names="st")
@@ -298,6 +299,27 @@ def test_todd_coxeter_agrees_with_subgroup_graph(perms):
     assert table.rows == graph.table
 
 
+B3 = list(ball(F2, 3))
+
+
+def _up_to_inversion(words):
+    return {min(w.letters, (~w).letters) for w in words}
+
+
+@settings(max_examples=40, deadline=None)
+@given(transitive_action_st())
+def test_coset_table_is_a_complete_subgroup_graph(perms):
+    graph = from_coset_action(F2, perms)
+    table = CosetTable(F2, graph.table)
+    assert table == graph and hash(table) == hash(graph)
+    for w in B3:
+        assert table.member(w) == (table.trace(0, w) == 0)
+    # one builder: the graph scans every slot and Reidemeister-Schreier the
+    # positive ones, so a generator may come out as the other's inverse
+    data = reidemeister_schreier(FREE2, table)
+    assert _up_to_inversion(data.generator_words) == _up_to_inversion(graph.basis())
+
+
 def test_coset_table_from_ab_matches_enumeration():
     # same finite abelian quotient reached by two different routes
     p = Presentation(F2, (F2.parse("a^2"), F2.parse("b^3")))
@@ -415,6 +437,32 @@ def test_schreier_generators_match_subgroup_graph():
     assert len(data.presentation.relators) == 0
     assert data.presentation.alphabet.rank == 2 * (2 - 1) + 1
     assert subgroup_graph(F2, list(data.generator_words)) == graph
+
+
+def test_sphere4_table_is_the_graph_of_its_schreier_generators():
+    from mcgcert.constructions import punctured_sphere_presentation
+
+    p4 = punctured_sphere_presentation(4)
+    squares = [p4.alphabet.parse("aa"), p4.alphabet.parse("bb")]
+    table = todd_coxeter(p4, squares)
+    rs = reidemeister_schreier(p4, table)
+    assert table == subgroup_graph(p4.alphabet, rs.generator_words)
+
+
+def test_sphere5_schreier_presentation_is_pinned():
+    # sha256 of the letter tuples pins the generator order and every relator
+    from mcgcert.constructions import punctured_sphere_presentation
+
+    p5 = punctured_sphere_presentation(5)
+    pure = [p5.alphabet.parse(t) for t in ("aa", "baaB", "cbaaBC", "bb", "cbbC", "cc")]
+    data = reidemeister_schreier(p5, todd_coxeter(p5, pure))
+    digest = lambda words: hashlib.sha256(repr([w.letters for w in words]).encode()).hexdigest()
+    assert digest(data.generator_words) == (
+        "8aac4363164b071f692a1319f3074c9477e659d8bd0886b6fe9b0f1d098b8784"
+    )
+    assert digest(data.presentation.relators) == (
+        "8b951c81a989e7ca6bde4a43cddebe53cd3cb5f1e5444341b6968c8c4a3a5e0d"
+    )
 
 
 def test_schreier_counts_sl2z():

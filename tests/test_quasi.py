@@ -29,6 +29,8 @@ F2 = Alphabet(2)
 F3 = Alphabet(3)
 
 F_AB = Quasimorphism([(1, F2.parse("ab"))])
+# overlaps a shift of itself, so its defect is computed pair by pair
+F_ABAB = Quasimorphism([(1, F2.parse("abab"))])
 F_A = Quasimorphism([(1, F2.parse("a"))])
 
 letters_st = st.lists(
@@ -156,7 +158,7 @@ def test_defect_fractional_scaling():
 
 def test_defect_budget():
     with pytest.raises(BallBudgetError):
-        defect_ball(F_AB, 3, pair_budget=100)
+        defect_ball(F_ABAB, 3, pair_budget=100)
 
 
 def test_defect_with_precompose():
@@ -239,9 +241,16 @@ def test_precompose_counts_every_pair():
 
 def test_defect_budget_checked_before_the_ball():
     with pytest.raises(BallBudgetError, match="^19123129 pairs exceed the budget 3000000$"):
-        defect_ball(F_AB, 7)
+        defect_ball(F_ABAB, 7)
     with pytest.raises(BallBudgetError, match=r"^more than 2\^2000000000 pairs"):
-        defect_ball(F_AB, 10**9)
+        defect_ball(F_ABAB, 10**9)
+
+
+def test_seam_budget_counts_only_the_ends():
+    # the seam path enumerates the ball of radius min(m - 1, R) = 1 only
+    assert defect_ball(F_AB, 10**9, pair_budget=25) == 1
+    with pytest.raises(BallBudgetError, match="^25 pairs exceed the budget 24$"):
+        defect_ball(F_AB, 10**9, pair_budget=24)
 
 
 # --- homogenization ---------------------------------------------------------------
