@@ -26,9 +26,10 @@ routes compare equal whenever they describe the same action.  Permutation
 assignments are checked by :func:`mcgcert.stallings._signed_action`.  A
 :class:`CosetTable` is a complete :class:`mcgcert.stallings.SubgroupGraph`;
 :func:`mcgcert.stallings._schreier_basis` builds the Schreier generators.
-Todd-Coxeter coincidences are processed by
+Todd-Coxeter scans and coincidences run on
 :class:`mcgcert.stallings._Coincidences`, the union-find that also folds
-subgroup graphs: a coincidence is a Stallings fold.
+subgroup graphs: a relator scan closes a loop the way folding closes a
+generator, and a coincidence is a Stallings fold.
 """
 
 from __future__ import annotations
@@ -570,7 +571,7 @@ class CosetTable(SubgroupGraph):
 
     def trace(self, coset: int, word: Word) -> int:
         self._check_word(word)
-        return _walk(self.table, coset, word.letters)[0]
+        return _walk(self.table, coset, map(_slot, word.letters))[0]
 
     def to_json_dict(self) -> dict:
         """One-based JSON form: {"cosets": k, "action": {"a": [...], "A": [...]}}."""
@@ -656,9 +657,14 @@ def todd_coxeter(
 ) -> CosetTable:
     """Enumerate cosets of the subgroup the given words generate.
 
-    Relator scans fill gaps eagerly; coincidences are processed immediately
-    by :class:`mcgcert.stallings._Coincidences`.  ``budget`` bounds the total
-    number of cosets ever defined (merged-away cosets still count).  A
+    HLT strategy: the subgroup generators at coset 0, then every relator at
+    each coset taken from a queue, are scanned with
+    :meth:`mcgcert.stallings._Coincidences.close`, which defines cosets only
+    for the gap its two-ended read leaves.  New cosets and the survivors of
+    each settled coincidence join the queue; when it runs dry, the first
+    hole gets a new coset.  ``budget`` bounds the total number of cosets
+    ever defined (merged-away cosets still count); a scan defines its whole
+    gap before the check, so a refusal may name a count past the budget.  A
     generator appearing in no relator and no subgroup generator can never
     close, so that raises :class:`IncompleteTableError` up front; the same
     error reports enumeration that halts with holes on letters no relator
@@ -697,23 +703,12 @@ def todd_coxeter(
             in_queue.add(c)
             queue.append(c)
 
-    def define(c: int, slot: int) -> int:
-        if len(rows) >= budget:  # every row ever added counts, merged or not
-            raise EnumerationBudgetError(len(rows) + 1, budget)
-        new = core.add()
-        core.join(c, slot, new)
-        enqueue(new)
-        return new
-
     def scan_fill(start: int, slots: Tuple[int, ...]) -> None:
-        c = find(start)
-        first = c
-        for slot in slots[:-1]:
-            nxt = rows[c].get(slot)
-            if nxt is None:
-                nxt = define(c, slot)
-            c = find(nxt)
-        core.join(c, slots[-1], first)
+        added = core.close(start, slots)
+        if len(rows) > budget and added:  # every row ever added counts, merged or not
+            raise EnumerationBudgetError(len(rows), budget)
+        for new in added:
+            enqueue(new)
         # each survivor gained edges, so its relator scans must be redone
         for survivor in core.settle():
             enqueue(survivor)
@@ -753,7 +748,7 @@ def todd_coxeter(
                 )
             break
         c, s = hole
-        define(c, s)
+        scan_fill(c, (s, s ^ 1))  # one new coset fills the hole
         enqueue(c)
 
     # coset 0 survives every merge (the smaller coset always does), and every
@@ -875,30 +870,31 @@ def reidemeister_schreier(p: Presentation, table: CosetTable) -> SchreierData:
 
     Schreier generators come from :func:`mcgcert.stallings._schreier_basis`
     over the positive slots, one per non-tree (coset, positive letter) pair;
-    the relators are every ambient relator rewritten at every coset.  A
-    relator that does not bring a coset back to itself shows that the table
-    is not an action of ``p``, and raises ValueError.
+    the relators are every ambient relator rewritten at every coset, by
+    walking its slots through the table and the symbol rows.  A relator that
+    does not bring a coset back to itself shows that the table is not an
+    action of ``p``, and raises ValueError.
     """
     if table.alphabet.rank != p.alphabet.rank:
         raise AlphabetMismatch("table over a different ambient rank")
-    k = table.index
-    reps, gens, symbol = _schreier_basis(table.rows, range(0, 2 * p.alphabet.rank, 2))
+    rows = table.rows
+    reps, gens, sym = _schreier_basis(rows, range(0, 2 * p.alphabet.rank, 2))
     if any(rep is None for rep in reps):
         raise ValueError("coset table is not transitive")
     gen_words = tuple(map(p.alphabet.word, gens))
 
     sub_alphabet = Alphabet(len(gen_words)) if gen_words else Alphabet(1)
-
-    def rewrite(relator: Word, start: int) -> Word:
-        end, symbols = _walk(table.rows, start, relator.letters, symbol)
-        if end != start:
-            raise ValueError(
-                f"relator {relator} moves coset {start + 1} of the table, "
-                "so the table is not an action of the presentation"
-            )
-        return sub_alphabet.word(_free_reduce(symbols))
-
-    relators = [rewrite(w, c) for w in p.relators for c in range(k)]
+    relators = []
+    for w in p.relators:
+        slots = tuple(map(_slot, w.letters))
+        for c in range(len(rows)):
+            end, symbols = _walk(rows, c, slots, sym)
+            if end != c:
+                raise ValueError(
+                    f"relator {w} moves coset {c + 1} of the table, "
+                    "so the table is not an action of the presentation"
+                )
+            relators.append(sub_alphabet.word(symbols))
     return SchreierData(
         presentation=Presentation(sub_alphabet, relators),
         generator_words=gen_words,

@@ -12,10 +12,11 @@ That numbering is :func:`_orbit_table`, the one breadth-first orbit routine;
 the coset tables and permutation closures of :mod:`mcgcert.fpgroup` use it
 too, and :class:`mcgcert.fpgroup.CosetTable` is a :class:`SubgroupGraph`
 with every slot filled.  :func:`_schreier_basis` builds free bases here and
-Reidemeister-Schreier generators there, :func:`_signed_action` checks every
+Reidemeister-Schreier generators there, :func:`_walk` is the one walk of a
+slot sequence through a table, :func:`_signed_action` checks every
 permutation action, and :class:`_Coincidences` is the one union-find over
-table rows: it folds the graphs here and processes the coincidences of
-Todd-Coxeter enumeration.
+table rows: its loop-closing step builds the graphs here one generator at a
+time and is every relator scan of Todd-Coxeter enumeration.
 
 The graph decides membership, index, and rank exactly, produces a free basis
 with rewriting of members over that basis, and supports intersections and
@@ -32,7 +33,6 @@ from mcgcert.words import (
     Alphabet,
     AlphabetMismatch,
     Word,
-    _free_reduce,
     _invert,
     _slot,
     _slot_letter,
@@ -89,7 +89,7 @@ def _spanning_tree(
 
     Returns ``(reps, tree)``: ``reps[v]`` is the letter tuple of the tree
     path from 0 to ``v`` (None when ``v`` is unreachable) and ``tree`` holds
-    both directions ``(v, letter)`` of every tree edge.
+    both directions ``(v, slot)`` of every tree edge.
     """
     reps: List[Optional[Tuple[int, ...]]] = [None] * len(rows)
     reps[0] = ()
@@ -98,63 +98,63 @@ def _spanning_tree(
     for v in order:
         for s, t in enumerate(rows[v]):
             if t is not None and reps[t] is None:
-                letter = _slot_letter(s)
-                reps[t] = reps[v] + (letter,)
-                tree.update(((v, letter), (t, -letter)))
+                reps[t] = reps[v] + (_slot_letter(s),)
+                tree.update(((v, s), (t, s ^ 1)))
                 order.append(t)
     return reps, tree
 
 
 def _schreier_basis(
     rows: Sequence[Sequence[Optional[int]]], slots: Sequence[int]
-) -> Tuple[list, List[Tuple[int, ...]], Dict[Tuple[int, int], int]]:
+) -> Tuple[list, List[Tuple[int, ...]], List[List[int]]]:
     """Schreier generators: one per edge off the tree of :func:`_spanning_tree`.
 
     Scans the vertices reachable from 0, and at each the given slots, in
     order, skipping tree edges and edges met before from their other end.
-    Returns ``(reps, gens, edge_sym)``: the tree paths, the letters of
-    ``rep(v) letter rep(t)^-1`` for each edge, and the two directions
-    ``(v, letter)`` of the i-th edge mapped to ``i`` and ``-i``, from 1.
+    Returns ``(reps, gens, sym)``: the tree paths, the letters of
+    ``rep(v) letter rep(t)^-1`` for each edge, and symbol rows for
+    :func:`_walk`: ``sym[v][s]`` is ``i`` on the i-th edge (from 1), ``-i``
+    on its reverse, and 0 on tree edges and empty slots.
     """
     reps, tree = _spanning_tree(rows)
     gens: List[Tuple[int, ...]] = []
-    edge_sym: Dict[Tuple[int, int], int] = {}
+    sym = [[0] * len(row) for row in rows]
     for v, row in enumerate(rows):
         rep = reps[v]
         if rep is None:
             continue
+        out = sym[v]
         for s in slots:
             t = row[s]
-            if t is None:
+            if t is None or out[s] or (v, s) in tree:
                 continue
-            letter = _slot_letter(s)
-            if (v, letter) in tree or (v, letter) in edge_sym:
-                continue
-            gens.append(rep + (letter,) + _invert(reps[t]))
-            edge_sym[(v, letter)] = len(gens)
-            edge_sym.setdefault((t, -letter), -len(gens))
-    return reps, gens, edge_sym
+            gens.append(rep + (_slot_letter(s),) + _invert(reps[t]))
+            out[s] = len(gens)
+            if not sym[t][s ^ 1]:
+                sym[t][s ^ 1] = -len(gens)
+    return reps, gens, sym
 
 
 def _walk(
     rows: Sequence[Sequence[Optional[int]]],
     start: int,
-    letters: Sequence[int],
-    edge_sym: Optional[Dict[Tuple[int, int], int]] = None,
+    slots: Iterable[int],
+    sym: Optional[Sequence[Sequence[int]]] = None,
 ) -> Tuple[Optional[int], List[int]]:
-    """Follow ``letters`` through a table from ``start``.
+    """Follow a slot sequence through a table from ``start``.
 
     Returns the end vertex (None when the path leaves the table) and the
-    symbols that ``edge_sym`` gives to the directed edges crossed, in order.
+    nonzero symbols that the rows ``sym`` of :func:`_schreier_basis` give
+    to the directed edges crossed, in order.
     """
     symbols: List[int] = []
     cur = start
-    for letter in letters:
-        if edge_sym is not None:
-            sym = edge_sym.get((cur, letter))
-            if sym is not None:
-                symbols.append(sym)
-        cur = rows[cur][_slot(letter)]
+    for s in slots:
+        if sym is not None:
+            x = sym[cur][s]
+            if x:
+                symbols.append(x)
+        cur = rows[cur][s]
         if cur is None:
             break
     return cur, symbols
@@ -198,14 +198,18 @@ class _Coincidences:
     """Rows of a partial table under union-find: the one coincidence core.
 
     A Stallings fold and a Todd-Coxeter coincidence are the same step (Kapovich
-    and Myasnikov, "Stallings foldings and subgroups of free groups", 2002), so
-    :func:`subgroup_graph` and :func:`mcgcert.fpgroup.todd_coxeter` both run
-    on this.  ``rows[c]`` maps slot to target for a live row (targets may be
-    stale; apply :meth:`find`) and is None once the row merged into another.
-    Slot ``s ^ 1`` holds the inverse letter of slot ``s``.  Rows are dicts so
-    that a merge visits only filled slots: most vertices a fold merges have
-    two.  When two rows merge, the smaller number survives, so row 0 is
-    never merged away.
+    and Myasnikov, "Stallings foldings and subgroups of free groups", 2002),
+    and so is closing a loop: :meth:`close` reads a word at a row from both
+    ends along the edges already there and adds rows only for the gap
+    (Touikan, "A fast algorithm for Stallings' folding process", 2006; the
+    HLT scan of Holt, Eick and O'Brien, *Handbook of Computational Group
+    Theory*, 2005, ch. 5).  :func:`subgroup_graph` and
+    :func:`mcgcert.fpgroup.todd_coxeter` both run on this.  ``rows[c]`` maps
+    slot to target for a live row (targets may be stale; apply :meth:`find`)
+    and is None once the row merged into another.  Slot ``s ^ 1`` holds the
+    inverse letter of slot ``s``.  Rows are dicts so that a merge visits only
+    filled slots: most vertices a fold merges have two.  When two rows merge,
+    the smaller number survives, so row 0 is never merged away.
     """
 
     __slots__ = ("rows", "parent", "pending")
@@ -248,6 +252,41 @@ class _Coincidences:
             row[slot ^ 1] = rc
         elif find(cur) != rc:
             self.pending.append((cur, rc))
+
+    def close(self, base: int, slots: Sequence[int]) -> range:
+        """Make ``slots`` read a loop at ``base``; return the rows added.
+
+        Reads forward from ``base`` along filled edges, then backward along
+        the inverse slots, stopping before the two reads overlap.  The gap
+        left between their ends becomes a path through new rows; an empty
+        gap between two different ends is queued as a coincidence.  Nothing
+        is settled.
+        """
+        rows, parent, find = self.rows, self.parent, self.find
+        i, j = 0, len(slots)
+        c = d = find(base)
+        while i < j:
+            t = rows[c].get(slots[i])
+            if t is None:
+                break
+            c = t if parent[t] == t else find(t)
+            i += 1
+        while j > i:
+            t = rows[d].get(slots[j - 1] ^ 1)
+            if t is None:
+                break
+            d = t if parent[t] == t else find(t)
+            j -= 1
+        if i == j:
+            if c != d:
+                self.pending.append((c, d))
+            return range(0)
+        first = self.add(j - i - 1)
+        added = range(first, len(rows))
+        for slot, t in zip(slots[i:j], (*added, d)):
+            self.join(c, slot, t)
+            c = t
+        return added
 
     def settle(self) -> List[int]:
         """Merge every queued pair; return the surviving row of each merge."""
@@ -332,7 +371,7 @@ class SubgroupGraph:
     def member(self, word: Word) -> bool:
         """Whether ``word`` lies in the subgroup: trace it from the base."""
         self._check_word(word)
-        return _walk(self.table, 0, word.letters)[0] == 0
+        return _walk(self.table, 0, map(_slot, word.letters))[0] == 0
 
     def invariants(self) -> GraphInvariants:
         filled = sum(1 for row in self.table for t in row if t is not None)
@@ -348,12 +387,12 @@ class SubgroupGraph:
     # -- spanning tree, basis, rewriting ---------------------------------
 
     def _tree_data(self):
-        """``(basis, edge_sym)`` from :func:`_schreier_basis` over every slot,
+        """``(basis, sym)`` from :func:`_schreier_basis` over every slot,
         with the basis as Words in scan order; computed once."""
         cached = self._cache.get("tree")
         if cached is None:
-            _, gens, edge_sym = _schreier_basis(self.table, range(2 * self.alphabet.rank))
-            cached = self._cache["tree"] = ([self.alphabet.word(g) for g in gens], edge_sym)
+            _, gens, sym = _schreier_basis(self.table, range(2 * self.alphabet.rank))
+            cached = self._cache["tree"] = ([self.alphabet.word(g) for g in gens], sym)
         return cached
 
     def basis(self) -> List[Word]:
@@ -371,10 +410,10 @@ class SubgroupGraph:
         basis words for its letters recovers ``word`` exactly.
         """
         self._check_word(word)
-        end, symbols = _walk(self.table, 0, word.letters, self._tree_data()[1])
+        end, symbols = _walk(self.table, 0, map(_slot, word.letters), self._tree_data()[1])
         if end != 0:
             return None
-        return self.basis_alphabet().word(_free_reduce(symbols))
+        return self.basis_alphabet().word(symbols)
 
     # -- coset structure --------------------------------------------------
 
@@ -397,12 +436,13 @@ class SubgroupGraph:
         """Graph of the intersection: reachable part of the product graph."""
         if self.alphabet.rank != other.alphabet.rank:
             raise AlphabetMismatch("intersection requires equal ambient rank")
+        table1, table2, k2 = self.table, other.table, len(other.table)
 
         def step(pair, s):
-            t1, t2 = self.table[pair[0]][s], other.table[pair[1]][s]
-            return None if t1 is None or t2 is None else (t1, t2)
+            t1, t2 = table1[pair // k2][s], table2[pair % k2][s]
+            return None if t1 is None or t2 is None else t1 * k2 + t2
 
-        _, rows = _orbit_table((0, 0), step, 2 * self.alphabet.rank)
+        _, rows = _orbit_table(0, step, 2 * self.alphabet.rank)
         return _finish(self.alphabet, rows)
 
     def contains(self, other: "SubgroupGraph") -> bool:
@@ -416,24 +456,18 @@ class SubgroupGraph:
 def subgroup_graph(alphabet: Alphabet, generators: Iterable[Word]) -> SubgroupGraph:
     """Build the folded core graph of the subgroup the words generate.
 
-    Each generator becomes a loop of new vertices at the base 0; settling the
-    coincidences folds them, and :func:`_finish` prunes and renumbers.
+    Each generator is closed into a loop at the base 0 by
+    :meth:`_Coincidences.close`, which adds rows only for the part the graph
+    cannot already read, and folded by settling its coincidences;
+    :func:`_finish` prunes and renumbers.
     """
     core = _Coincidences()
     core.add()
     for gen in generators:
         if gen.alphabet.rank != alphabet.rank:
             raise AlphabetMismatch("generator over a different ambient rank")
-        letters = gen.letters
-        if not letters:
-            continue
-        prev = 0
-        nxt = core.add(len(letters) - 1)
-        for letter in letters[:-1]:
-            core.join(prev, _slot(letter), nxt)
-            prev, nxt = nxt, nxt + 1
-        core.join(prev, _slot(letters[-1]), 0)
-    core.settle()
+        core.close(0, tuple(map(_slot, gen.letters)))
+        core.settle()
     find = core.find  # stale targets name merged-away rows
     slots = range(2 * alphabet.rank)
     rows = [

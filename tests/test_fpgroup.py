@@ -237,7 +237,7 @@ def _pure_generators(alphabet, n):
 
 @pytest.mark.parametrize(
     "n, squares, index, defined",
-    [(4, False, 24, 132), (5, False, 120, 1376), (6, False, 720, 12792), (4, True, 24, 204)],
+    [(4, False, 24, 58), (5, False, 120, 802), (6, False, 720, 7949), (4, True, 24, 112)],
 )
 def test_todd_coxeter_defines_a_fixed_number_of_cosets(n, squares, index, defined):
     # the enumeration order fixes how many cosets are ever defined, and the

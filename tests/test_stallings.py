@@ -240,3 +240,114 @@ def test_members_whole_ball_against_regenerated_subgroup(gens):
     doubled = subgroup_graph(F2, gens + [w**2 for w in gens])
     for w in ball(F2, 3):
         assert g.member(w) == doubled.member(w)
+
+
+# --- folding oracle ------------------------------------------------------------
+
+
+def textbook_fold(rank, gens):
+    """The folded core graph by the textbook route, sharing no code with the
+    package: subdivide every letter of every generator into its own edge,
+    identify the ends of two equal-label edges leaving or entering one vertex
+    until there are none, prune degree-one vertices other than the base 0,
+    and number breadth-first from 0 in the slot order +1, -1, +2, -2, ..."""
+    edges = set()  # (u, x, v): an edge u -> v labeled by the generator x > 0
+    fresh = 1
+    for g in gens:
+        n = len(g.letters)
+        path = [0, *range(fresh, fresh + n - 1), 0]
+        fresh += max(n - 1, 0)
+        for k, x in enumerate(g.letters):
+            u, v = path[k], path[k + 1]
+            edges.add((u, x, v) if x > 0 else (v, -x, u))
+    while True:
+        seen, pair = {}, None
+        for u, x, v in edges:
+            for key, end in (((u, x), v), ((v, -x), u)):
+                if seen.setdefault(key, end) != end:
+                    pair = sorted((seen[key], end))
+        if pair is None:
+            break
+        keep, gone = pair
+        edges = {(keep if u == gone else u, x, keep if v == gone else v) for u, x, v in edges}
+    while True:
+        degree = {}
+        for u, _, v in edges:
+            degree[u] = degree.get(u, 0) + 1
+            degree[v] = degree.get(v, 0) + 1
+        leaves = {w for w, d in degree.items() if d == 1 and w != 0}
+        if not leaves:
+            break
+        edges = {e for e in edges if e[0] not in leaves and e[2] not in leaves}
+    step = {}
+    for u, x, v in edges:
+        step[u, 2 * x - 2], step[v, 2 * x - 1] = v, u
+    number, order, table = {0: 0}, [0], []
+    for w in order:
+        row = []
+        for s in range(2 * rank):
+            t = step.get((w, s))
+            if t is not None:
+                if t not in number:
+                    number[t] = len(order)
+                    order.append(t)
+                t = number[t]
+            row.append(t)
+        table.append(tuple(row))
+    return tuple(table)
+
+
+@st.composite
+def derived_gens_st(draw):
+    """Generator lists that reach every branch of closing a loop: new words,
+    the empty word, repeats, inverses and conjugates of earlier generators
+    (a conjugate by a new word is not cyclically reduced, so both ends of
+    its gap sit on one slot of the base), and products of earlier
+    generators, which read completely along the graph and leave no gap."""
+    alphabet = Alphabet(draw(st.integers(min_value=1, max_value=3)))
+    rank = alphabet.rank
+    word = st.lists(st.integers(-rank, rank).filter(bool), max_size=7).map(alphabet.word)
+    earlier = lambda: draw(st.sampled_from(gens))
+    gens = []
+    for _ in range(draw(st.integers(min_value=0, max_value=7))):
+        kind = draw(st.sampled_from(("new", "empty", "repeat", "inverse", "conjugate", "product")))
+        if kind == "empty":
+            gens.append(alphabet.identity())
+        elif kind == "new" or not gens:
+            gens.append(draw(word))
+        elif kind == "repeat":
+            gens.append(earlier())
+        elif kind == "inverse":
+            gens.append(earlier().inverse())
+        elif kind == "conjugate":
+            c = draw(word)
+            gens.append(c * earlier() * c.inverse())
+        else:
+            gens.append(earlier() * earlier())
+    return alphabet, gens
+
+
+@settings(max_examples=300, deadline=None)
+@given(derived_gens_st())
+def test_folding_matches_the_textbook_fold(data):
+    alphabet, gens = data
+    assert subgroup_graph(alphabet, gens).table == textbook_fold(alphabet.rank, gens)
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [
+        [],
+        [""],
+        ["ab", "ab"],
+        ["abA"],
+        ["ab", "BA"],
+        ["ab", "b", "a"],
+        ["aab", "ab", "a"],
+        ["ab", "ba", "abba"],
+        ["aaa", "baaaB", "b"],
+    ],
+)
+def test_folding_matches_the_textbook_fold_on_fixed_sets(gens):
+    words = [F2.parse(g) if g else F2.identity() for g in gens]
+    assert subgroup_graph(F2, words).table == textbook_fold(2, words)
